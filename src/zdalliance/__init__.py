@@ -4,8 +4,7 @@ k-alliance numbers, and closed-form predictions checked against the solver."""
 from .rings import (CapacityError, DEFAULT_ORDER_CAP, FiniteRing,
                     LocalStructure, annihilator, is_prime, is_reduced,
                     local_structure, make_gf, make_idealization, make_product,
-                    make_zn, nilradical, units, verify_ring_axioms,
-                    zero_divisors)
+                    make_zn, nilradical, units, zero_divisors)
 from .expressions import (GF, ExprError, ExprSemanticError, ExprSyntaxError,
                           Idealization, Product, Zn, build_ring,
                           parse_ring_expr)
@@ -29,7 +28,7 @@ __all__ = [
     "CapacityError", "DEFAULT_ORDER_CAP", "FiniteRing", "LocalStructure",
     "annihilator", "is_prime", "is_reduced", "local_structure", "make_gf",
     "make_idealization", "make_product", "make_zn", "nilradical", "units",
-    "verify_ring_axioms", "zero_divisors",
+    "zero_divisors",
     "GF", "ExprError", "ExprSemanticError", "ExprSyntaxError", "Idealization",
     "Product", "Zn", "build_ring", "parse_ring_expr",
     "MAX_VERTICES", "NoGraphError", "ZdGraph", "bits", "build_graph",

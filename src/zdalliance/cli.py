@@ -21,8 +21,8 @@ from .rings import (CapacityError, FiniteRing, local_structure, nilradical,
 from .solver import (AllianceProblem, BudgetExceeded, oracle_solve, solve,
                      spectrum)
 from .verify import (MISMATCH, SuiteConfig, SUITES, apply_config, emit_report,
-                     parse_config_file, records_from_dicts, run_suite,
-                     summarize, _records_to_dicts)
+                     parse_config_file, records_from_dicts, records_to_dicts,
+                     run_suite, summarize)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -204,7 +204,7 @@ def cmd_verify(args) -> int:
     summary = summarize(records)
     if args.json:
         print(json.dumps({"suite": cfg.suite, "summary": summary,
-                          "records": _records_to_dicts(records)}, indent=2))
+                          "records": records_to_dicts(records)}, indent=2))
     else:
         print(f"suite {cfg.suite}: {summary['records']} records, "
               f"{summary['MATCH']} MATCH, "

@@ -3,8 +3,10 @@
 ``solve`` runs iterative deepening on the target cardinality s: starting
 from max(domination number, analytic lower bounds) it performs, for each s,
 a depth-first branch-and-bound over vertex subsets in a fixed branching
-order (degree descending, ties by ascending element id).  A partial set is
-pruned when
+order (degree descending, ties by ascending element id).  The search runs
+on an explicit stack, so its depth does not touch the interpreter's
+recursion limit; the include branch of a vertex is explored before the
+exclude branch.  A partial set is pruned when
 
 * some chosen vertex's deficit deg_S(x) - deg_S̄(x) - k cannot be repaired
   even if every remaining pick were one of its undecided neighbors,
@@ -20,6 +22,12 @@ s = vertex_count (S = V is the last candidate); no analytic infeasibility
 shortcut is trusted.  Node/time budgets, when given, raise
 :class:`BudgetExceeded` instead of returning a wrong answer.
 
+``spectrum`` is the one entry point for many values of k.  It uses the
+exact monotonicity of the problem: a global defensive (k+1)-alliance is
+also a global defensive k-alliance, so γ_k ≤ γ_{k+1}.  It walks k upward,
+starts each k's rounds at max(analytic lower bound, γ_{k-1}), and marks
+every k above the first infeasible one infeasible without searching.
+
 ``oracle_solve`` is the independent cross-check: plain enumeration of all
 subsets in increasing popcount order with no pruning beyond the predicate
 itself, capped by default at 22 vertices.
@@ -27,7 +35,6 @@ itself, capped by default at 22 vertices.
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass
 from itertools import combinations
@@ -75,13 +82,11 @@ class _Search:
 
     def __init__(self, graph: ZdGraph, k: Optional[int],
                  node_budget: Optional[int], deadline: Optional[float]):
-        self.graph = graph
         self.k = k
         self.node_budget = node_budget
         self.deadline = deadline
         self.nodes = 0
         n = graph.vertex_count
-        self.n = n
         self.full = graph.full_mask
         self.adj = graph.adj
         self.closed = graph.closed
@@ -92,7 +97,6 @@ class _Search:
         for pos in range(n - 1, -1, -1):
             suffix[pos] = suffix[pos + 1] | (1 << order[pos])
         self.suffix = suffix
-        self.target = 0
 
     def _tick(self) -> None:
         self.nodes += 1
@@ -114,23 +118,37 @@ class _Search:
         return True
 
     def run(self, s: int) -> Optional[int]:
+        """Depth-first search for a cardinality-s set on an explicit stack of
+        (position, chosen, covered, count) entries; the include child is
+        pushed last, so it is explored first."""
         # the in-search clock is only polled every 1024 nodes; small
         # searches still have to notice an already-expired deadline
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceeded("time budget exhausted")
-        self.target = s
-        return self._dfs(0, 0, 0, 0)
+        order, closed, full = self.order, self.closed, self.full
+        stack = [(0, 0, 0, 0)]
+        while stack:
+            pos, s_mask, cov, count = stack.pop()
+            self._tick()
+            b = s - count
+            if b == 0:
+                if cov == full and self._final_ok(s_mask):
+                    return s_mask
+                continue
+            if self._pruned(pos, s_mask, cov, b):
+                continue
+            v = order[pos]
+            stack.append((pos + 1, s_mask, cov, count))
+            stack.append((pos + 1, s_mask | (1 << v), cov | closed[v],
+                          count + 1))
+        return None
 
-    def _dfs(self, pos: int, s_mask: int, cov: int, count: int) -> Optional[int]:
-        self._tick()
-        b = self.target - count
-        if b == 0:
-            if cov == self.full and self._final_ok(s_mask):
-                return s_mask
-            return None
+    def _pruned(self, pos: int, s_mask: int, cov: int, b: int) -> bool:
+        """True when no completion with b more picks from position pos on
+        can be a solution."""
         rem = self.suffix[pos]
         if rem.bit_count() < b:
-            return None
+            return True
 
         k = self.k
         adj = self.adj
@@ -144,7 +162,7 @@ class _Search:
                 rem_n = (a & rem).bit_count()
                 gain = b if b < rem_n else rem_n
                 if 2 * ((a & s_mask).bit_count() + gain) - self.deg[x] < k:
-                    return None
+                    return True
 
         und = self.full & ~cov
         if und:
@@ -161,11 +179,11 @@ class _Search:
                 u = low.bit_length() - 1
                 c = closed[u] & rem
                 if c == 0:
-                    return None
+                    return True
                 if c & (c - 1) == 0:
                     forced |= c
             if forced.bit_count() > b:
-                return None
+                return True
             need = und.bit_count()
             covs = []
             m = rem
@@ -176,20 +194,8 @@ class _Search:
                 covs.append((closed[w] & und).bit_count())
             covs.sort(reverse=True)
             if sum(covs[:b]) < need:
-                return None
-
-        v = self.order[pos]
-        bit = 1 << v
-        found = self._dfs(pos + 1, s_mask | bit, cov | self.closed[v], count + 1)
-        if found is not None:
-            return found
-        return self._dfs(pos + 1, s_mask, cov, count)
-
-
-def _prepare_recursion(n: int) -> None:
-    limit = n + 128
-    if sys.getrecursionlimit() < limit:
-        sys.setrecursionlimit(limit)
+                return True
+        return False
 
 
 def _domination(graph: ZdGraph, node_budget: Optional[int],
@@ -209,14 +215,13 @@ def domination_number(graph: ZdGraph, *, node_budget: Optional[int] = None,
                       time_budget: Optional[float] = None) -> tuple[int, int]:
     """Exact domination number and one minimum dominating set (bitset)."""
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    _prepare_recursion(graph.vertex_count)
     size, witness, _ = _domination(graph, node_budget, deadline)
     return size, witness
 
 
-def _alliance_lower_bound(graph: ZdGraph, k: int, gamma: int) -> int:
+def _alliance_lower_bound(graph: ZdGraph, k: int, floor: int) -> int:
     n = graph.vertex_count
-    lb = max(1, gamma)
+    lb = max(1, floor)
     # any member x needs deg_S(x) >= ceil((deg(x)+k)/2) neighbors inside
     member = 1 + _ceil_div(graph.min_degree + k, 2)
     if member > lb:
@@ -228,14 +233,15 @@ def _alliance_lower_bound(graph: ZdGraph, k: int, gamma: int) -> int:
     return min(s, n)
 
 
-def _solve_with_gamma(graph: ZdGraph, k: int, gamma: int,
+def _solve_with_gamma(graph: ZdGraph, k: int, floor: int,
                       node_budget: Optional[int], deadline: Optional[float],
                       carried_nodes: int) -> AllianceSolution:
+    """Rounds s = max(floor, analytic bounds) .. n for one k; ``floor`` is a
+    proven lower bound: the domination number, or γ_{k-1} in a spectrum."""
     start = time.perf_counter()
-    _prepare_recursion(graph.vertex_count)
     search = _Search(graph, k, node_budget, deadline)
     search.nodes = carried_nodes
-    lb = _alliance_lower_bound(graph, k, gamma)
+    lb = _alliance_lower_bound(graph, k, floor)
     for s in range(lb, graph.vertex_count + 1):
         witness = search.run(s)
         if witness is not None:
@@ -254,7 +260,6 @@ def solve(problem: AllianceProblem, *, node_budget: Optional[int] = None,
     """
     graph = problem.graph
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    _prepare_recursion(graph.vertex_count)
     gamma, _, used = _domination(graph, node_budget, deadline)
     return _solve_with_gamma(graph, problem.k, gamma, node_budget, deadline, used)
 
@@ -304,12 +309,17 @@ def spectrum(graph: ZdGraph, *, node_budget: Optional[int] = None,
     """Exact results for every k in [-max_degree, max_degree].
 
     Sizes are monotone nondecreasing in k over the feasible range, and the
-    range of feasible k always reaches min_degree.
+    range of feasible k always reaches min_degree.  Each k's rounds start
+    at the answer for k - 1; every k above the first infeasible one is
+    infeasible without a search.
     """
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    _prepare_recursion(graph.vertex_count)
-    gamma, _, used = _domination(graph, node_budget, deadline)
+    floor, _, used = _domination(graph, node_budget, deadline)
     out: dict[int, AllianceSolution] = {}
     for k in range(-graph.max_degree, graph.max_degree + 1):
-        out[k] = _solve_with_gamma(graph, k, gamma, node_budget, deadline, used)
+        if floor is None:  # k - 1 was infeasible, so k is too
+            out[k] = AllianceSolution(False, None, None, used, 0.0)
+            continue
+        out[k] = _solve_with_gamma(graph, k, floor, node_budget, deadline, used)
+        floor = out[k].size
     return out

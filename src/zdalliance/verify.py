@@ -223,28 +223,20 @@ def _run_oracle_task(task: dict) -> list[VerificationRecord]:
     cfg: SuiteConfig = task["cfg"]
     ring, graph = _graph_for(task["expr"])
     k = task["k"]
-    base = dict(family="known_graphs", params=task["params"], ring=ring.label,
-                vertices=graph.vertex_count, k=k)
     ref = oracle_solve(AllianceProblem(graph, k), max_vertices=cfg.oracle_max)
+    base = dict(family="known_graphs", params=task["params"], ring=ring.label,
+                vertices=graph.vertex_count, k=k,
+                predicted_kind="exact" if ref.feasible else "infeasible",
+                predicted_lo=ref.size, predicted_hi=ref.size)
     try:
         sol = solve(AllianceProblem(graph, k), node_budget=cfg.node_budget,
                     time_budget=cfg.time_budget)
     except BudgetExceeded as exc:
-        kind = "exact" if ref.feasible else "infeasible"
-        return [VerificationRecord(**base, predicted_kind=kind,
-                                   predicted_lo=ref.size, predicted_hi=ref.size,
-                                   solved=None, status=SKIPPED,
+        return [VerificationRecord(**base, solved=None, status=SKIPPED,
                                    reason=f"budget({exc})")]
-    if ref.feasible:
-        status = MATCH if (sol.feasible and sol.size == ref.size) else MISMATCH
-        return [VerificationRecord(**base, predicted_kind="exact",
-                                   predicted_lo=ref.size, predicted_hi=ref.size,
-                                   solved=_solved_repr(sol), status=status,
-                                   nodes=sol.nodes, millis=sol.elapsed * 1000.0)]
-    status = MATCH if not sol.feasible else MISMATCH
-    return [VerificationRecord(**base, predicted_kind="infeasible",
-                               predicted_lo=None, predicted_hi=None,
-                               solved=_solved_repr(sol), status=status,
+    agree = (sol.feasible, sol.size) == (ref.feasible, ref.size)
+    return [VerificationRecord(**base, solved=_solved_repr(sol),
+                               status=MATCH if agree else MISMATCH,
                                nodes=sol.nodes, millis=sol.elapsed * 1000.0)]
 
 
@@ -264,13 +256,7 @@ def check_cardinality_bounds(ring: FiniteRing,
     zcount = len(zero_divisors(ring))
     lo, hi = -graph.max_degree, graph.min_degree
     if spect is None:
-        import time as _time
-        from .solver import _domination, _prepare_recursion, _solve_with_gamma
-        deadline = None if time_budget is None else _time.monotonic() + time_budget
-        _prepare_recursion(graph.vertex_count)
-        gamma, _, used = _domination(graph, node_budget, deadline)
-        spect = {k: _solve_with_gamma(graph, k, gamma, node_budget, deadline, used)
-                 for k in range(lo, hi + 1)}
+        spect = spectrum(graph, node_budget=node_budget, time_budget=time_budget)
     records: list[VerificationRecord] = []
     base = dict(family="bounds", ring=ring.label, vertices=graph.vertex_count)
     a_values: dict[int, int] = {}
@@ -333,20 +319,18 @@ def _run_bounds_task(task: dict) -> list[VerificationRecord]:
     ring = build_ring(task["expr"])
     graph = build_graph(ring)
     if graph.vertex_count > cfg.max_vertices:
-        return [VerificationRecord(
-            family="bounds", params="check=A", ring=ring.label,
-            vertices=graph.vertex_count, k=0, predicted_kind="bounds",
-            predicted_lo=None, predicted_hi=None, solved=None, status=SKIPPED,
-            reason=f"vertex-cap({graph.vertex_count})")]
-    try:
-        return check_cardinality_bounds(ring, node_budget=cfg.node_budget,
-                                        time_budget=cfg.time_budget)
-    except BudgetExceeded as exc:
-        return [VerificationRecord(
-            family="bounds", params="check=A", ring=ring.label,
-            vertices=graph.vertex_count, k=0, predicted_kind="bounds",
-            predicted_lo=None, predicted_hi=None, solved=None, status=SKIPPED,
-            reason=f"budget({exc})")]
+        reason = f"vertex-cap({graph.vertex_count})"
+    else:
+        try:
+            return check_cardinality_bounds(ring, node_budget=cfg.node_budget,
+                                            time_budget=cfg.time_budget)
+        except BudgetExceeded as exc:
+            reason = f"budget({exc})"
+    return [VerificationRecord(
+        family="bounds", params="check=A", ring=ring.label,
+        vertices=graph.vertex_count, k=0, predicted_kind="bounds",
+        predicted_lo=None, predicted_hi=None, solved=None, status=SKIPPED,
+        reason=reason)]
 
 
 def _run_pinned_refinement_task(task: dict) -> list[VerificationRecord]:
@@ -374,11 +358,21 @@ def _run_pinned_refinement_task(task: dict) -> list[VerificationRecord]:
         status=WITHIN_BOUNDS if zcount <= refined else MISMATCH)]
 
 
+def _run_skip_task(task: dict) -> list[VerificationRecord]:
+    graph = build_graph(build_ring(task["expr"]))
+    return [VerificationRecord(
+        family=task["family"], params=task["params"],
+        ring=graph.ring_label, vertices=graph.vertex_count, k=0,
+        predicted_kind="exact", predicted_lo=None, predicted_hi=None,
+        solved=None, status=SKIPPED, reason=task["reason"])]
+
+
 _TASK_RUNNERS: dict[str, Callable[[dict], list[VerificationRecord]]] = {
     "formula": _run_formula_task,
     "oracle": _run_oracle_task,
     "bounds": _run_bounds_task,
     "pinned_refinement": _run_pinned_refinement_task,
+    "skip": _run_skip_task,
 }
 
 
@@ -522,17 +516,6 @@ def _build_known_graphs(cfg: SuiteConfig) -> list[dict]:
     return tasks
 
 
-def _run_skip_task(task: dict) -> list[VerificationRecord]:
-    graph = build_graph(build_ring(task["expr"]))
-    return [VerificationRecord(
-        family=task["family"], params=task["params"],
-        ring=graph.ring_label, vertices=graph.vertex_count, k=0,
-        predicted_kind="exact", predicted_lo=None, predicted_hi=None,
-        solved=None, status=SKIPPED, reason=task["reason"])]
-
-
-_TASK_RUNNERS["skip"] = _run_skip_task
-
 SUITES: dict[str, Callable[[SuiteConfig], list[dict]]] = {
     "tables": _build_tables,
     "zpn": _build_zpn,
@@ -582,7 +565,8 @@ def summarize(records: Sequence[VerificationRecord]) -> dict[str, int]:
 # reports
 
 
-def _records_to_dicts(records: Sequence[VerificationRecord]) -> list[dict]:
+def records_to_dicts(records: Sequence[VerificationRecord]) -> list[dict]:
+    """Records as JSON-ready rows in report order; see records_from_dicts."""
     out = []
     for rec in sorted(records, key=_record_sort_key):
         row = {
@@ -654,7 +638,7 @@ def _emit_markdown(records: Sequence[VerificationRecord]) -> str:
 
 
 def _emit_json(records: Sequence[VerificationRecord]) -> str:
-    return json.dumps(_records_to_dicts(records), indent=2) + "\n"
+    return json.dumps(records_to_dicts(records), indent=2) + "\n"
 
 
 _EMITTERS = {"csv": _emit_csv, "md": _emit_markdown, "json": _emit_json}

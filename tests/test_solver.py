@@ -1,12 +1,15 @@
 """Exact alliance solver against pinned values, the oracle, and invariants."""
 
 import math
+import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from zdalliance import (AllianceProblem, BudgetExceeded, CapacityError,
-                        build_graph, build_ring, domination_number,
-                        oracle_solve, solve, spectrum)
+                        NoGraphError, build_graph, build_ring,
+                        domination_number, oracle_solve, solve, spectrum)
 
 PINNED = {
     "Z12": {-4: 2, -3: 2, -2: 2, -1: 3, 0: 4, 1: 5},
@@ -144,3 +147,54 @@ def test_solution_str():
     g = G("Z8")
     assert "size 2" in str(solve(AllianceProblem(g, 0)))
     assert "infeasible" in str(solve(AllianceProblem(g, 2)))
+
+
+def _frame_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_search_depth_does_not_grow_with_vertex_count():
+    # Z1024 has 511 vertices; the search must neither need nor raise a
+    # recursion limit anywhere near that
+    g = G("Z1024")
+    saved = sys.getrecursionlimit()
+    limit = _frame_depth() + 100
+    sys.setrecursionlimit(limit)
+    try:
+        sol = solve(AllianceProblem(g, 0))
+        assert sol.feasible and sol.size == 256
+        assert sys.getrecursionlimit() == limit
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+FACTORS = ("Z2", "Z3", "Z4", "GF(4)", "Z5", "Z7", "Z8", "Z9")
+SMALL_RINGS = st.one_of(
+    st.integers(4, 40).map(lambda n: f"Z{n}"),
+    st.tuples(st.sampled_from(FACTORS), st.sampled_from(FACTORS))
+      .map(" x ".join),
+    st.sampled_from((2, 3, 5, 7)).map(lambda p: f"Id(Z{p}, 1)"),
+)
+
+
+@given(SMALL_RINGS)
+@settings(max_examples=60, deadline=None)
+def test_spectrum_agrees_with_solve(expr):
+    try:
+        g = G(expr)
+    except NoGraphError:
+        assume(False)
+    assume(g.vertex_count <= 20)
+    sp = spectrum(g)
+    assert sorted(sp) == list(range(-g.max_degree, g.max_degree + 1))
+    for k, got in sp.items():
+        want = solve(AllianceProblem(g, k))
+        assert (got.feasible, got.size) == (want.feasible, want.size), (expr, k)
+        assert got.nodes <= want.nodes, (expr, k)
+        if got.feasible:
+            assert got.witness.bit_count() == got.size
+            assert g.is_global_defensive_alliance(got.witness, k), (expr, k)

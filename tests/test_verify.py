@@ -9,7 +9,7 @@ import pytest
 from zdalliance import SuiteConfig, run_suite, summarize
 from zdalliance.verify import (CSV_COLUMNS, emit_report, parse_config_file,
                                apply_config, records_from_dicts,
-                               _records_to_dicts)
+                               records_to_dicts)
 
 
 def _strip_timing(text: str) -> list[list[str]]:
@@ -128,7 +128,7 @@ def test_json_round_trip():
     text = emit_report(records, "json")
     rows = json.loads(text)
     back = records_from_dicts(rows)
-    assert _records_to_dicts(back) == rows
+    assert records_to_dicts(back) == rows
     assert emit_report(back, "csv") == emit_report(records, "csv")
 
 
