@@ -26,11 +26,13 @@ print()
 print(emit_report(records[:4], "csv"))
 
 # cardinality bounds: |Z(R)| against 1 + g^2 - kg over the spectrum
-rows = check_cardinality_bounds(build_ring("Z12"))
+ring = build_ring("Z12")
+rows = check_cardinality_bounds(ring, build_graph(ring))
 best = min(r.predicted_hi for r in rows if r.params.startswith("check=A;"))
 print(f"Z12: |Z(R)| = {rows[0].solved} <= {best} (best A_k over the spectrum)")
 
 # local rings get the tighter pair of bounds, with equality for Z9
-rows = check_cardinality_bounds(build_ring("Z9"))
+ring = build_ring("Z9")
+rows = check_cardinality_bounds(ring, build_graph(ring))
 cap = [r for r in rows if "BC-max-min" in r.params][0]
 print(f"Z9: |Z(R)| = {cap.solved}, max-min bound {cap.predicted_hi}")

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import Optional
 
 from .expressions import ExprError, build_ring
@@ -180,20 +181,10 @@ def _suite_config_from_args(args) -> SuiteConfig:
     cfg = SuiteConfig(suite=args.suite)
     if args.config:
         cfg = apply_config(cfg, parse_config_file(args.config))
-        cfg.suite = args.suite
-    if args.jobs is not None:
-        cfg.jobs = args.jobs
-    if args.out is not None:
-        cfg.out = args.out
-    if args.format is not None:
-        cfg.fmt = args.format
-    if args.max_vertices is not None:
-        cfg.max_vertices = args.max_vertices
-    if args.node_budget is not None:
-        cfg.node_budget = args.node_budget
-    if args.time_budget is not None:
-        cfg.time_budget = args.time_budget
-    return cfg
+    flags = dict(suite=args.suite, jobs=args.jobs, out=args.out,
+                 fmt=args.format, max_vertices=args.max_vertices,
+                 node_budget=args.node_budget, time_budget=args.time_budget)
+    return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def cmd_verify(args) -> int:
@@ -223,8 +214,11 @@ def cmd_verify(args) -> int:
 def cmd_report(args) -> int:
     with open(args.infile, encoding="utf-8") as fh:
         rows = json.load(fh)
-    if not isinstance(rows, list):
+    if isinstance(rows, dict):
         rows = rows.get("records", [])
+    if not isinstance(rows, list):
+        raise ValueError(f"{args.infile}: expected a list of records, "
+                         f"got {type(rows).__name__}")
     records = records_from_dicts(rows)
     text = emit_report(records, args.format, args.out)
     if not args.out:

@@ -1,10 +1,12 @@
 """Formula-vs-solver verification suites and reports.
 
-A suite runs a grid of (ring instance, k) cells.  Every cell yields exactly
-one :class:`VerificationRecord`; cells that cannot run (graph above the
-vertex cap, k outside a formula's stated range, solver budget exhausted,
-oracle capped) are reported as SKIPPED with a reason, never dropped.  For
-cells that do run, the status is derived deterministically:
+A suite is a list of per-ring :class:`RingTask`s.  Each task builds its
+ring and zero-divisor graph once and runs one check over that ring's k
+values; every (ring, k) cell still yields exactly one
+:class:`VerificationRecord`.  Cells that cannot run (graph above the vertex
+cap, k outside a formula's stated range, solver budget exhausted, oracle
+capped) are reported as SKIPPED with a reason, never dropped.  For cells
+that do run, the status is derived deterministically:
 
 * exact prediction v      -> MATCH iff the solver returns size v,
 * bounds [lo, hi]         -> WITHIN_BOUNDS iff lo <= size <= hi,
@@ -25,7 +27,7 @@ import io
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 from . import formulas
@@ -73,7 +75,7 @@ class VerificationRecord:
                 round(self.millis, 3)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuiteConfig:
     """Run parameters for one verification suite."""
     suite: str
@@ -167,24 +169,28 @@ def field_expr(q: int) -> str:
 # task execution
 
 
-@lru_cache(maxsize=8)
-def _graph_for(expr: str) -> tuple[FiniteRing, ZdGraph]:
-    # suites hit the same ring once per k; rebuilding a big ring per cell
-    # dominates the run time otherwise
-    ring = build_ring(expr)
-    return ring, build_graph(ring)
+@dataclass(frozen=True)
+class RingTask:
+    """One ring of a suite; ``check`` is formula, oracle, bounds or pinned.
+
+    ``cells`` holds a formula suite's (k, prediction) pairs; the other
+    checks take their k range from the graph."""
+    check: str
+    expr: str
+    family: str
+    params: str = ""
+    cells: tuple[tuple[int, formulas.Prediction], ...] = ()
 
 
-def _status_for(pred: formulas.Prediction,
-                sol: AllianceSolution) -> tuple[str, str]:
+def _status_for(pred: formulas.Prediction, sol: AllianceSolution) -> str:
     if pred.kind == "exact":
         if sol.feasible and sol.size == pred.value:
-            return MATCH, ""
-        return MISMATCH, ""
+            return MATCH
+        return MISMATCH
     if pred.kind == "bounds":
         if sol.feasible and pred.lower <= sol.size <= pred.upper:
-            return WITHIN_BOUNDS, ""
-        return MISMATCH, ""
+            return WITHIN_BOUNDS
+        return MISMATCH
     raise ValueError(f"no status for prediction kind {pred.kind!r}")
 
 
@@ -192,39 +198,41 @@ def _solved_repr(sol: AllianceSolution) -> Union[int, str]:
     return sol.size if sol.feasible else INFEASIBLE
 
 
-def _run_formula_task(task: dict) -> list[VerificationRecord]:
-    cfg: SuiteConfig = task["cfg"]
-    pred: formulas.Prediction = task["pred"]
-    ring, graph = _graph_for(task["expr"])
-    base = dict(family=task["family"], params=task["params"],
-                ring=ring.label, vertices=graph.vertex_count, k=task["k"],
+def _formula_record(cfg: SuiteConfig, task: RingTask, ring: FiniteRing,
+                    graph: ZdGraph, k: int,
+                    pred: formulas.Prediction) -> VerificationRecord:
+    base = dict(family=task.family, params=task.params,
+                ring=ring.label, vertices=graph.vertex_count, k=k,
                 predicted_kind=pred.kind,
                 predicted_lo=pred.value if pred.kind == "exact" else pred.lower,
                 predicted_hi=pred.value if pred.kind == "exact" else pred.upper)
     if graph.vertex_count > cfg.max_vertices:
-        return [VerificationRecord(**base, solved=None, status=SKIPPED,
-                                   reason=f"vertex-cap({graph.vertex_count})")]
+        return VerificationRecord(**base, solved=None, status=SKIPPED,
+                                  reason=f"vertex-cap({graph.vertex_count})")
     if pred.kind == "out_of_range":
-        return [VerificationRecord(**base, solved=None, status=SKIPPED,
-                                   reason="out-of-stated-range")]
+        return VerificationRecord(**base, solved=None, status=SKIPPED,
+                                  reason="out-of-stated-range")
     try:
-        sol = solve(AllianceProblem(graph, task["k"]),
+        sol = solve(AllianceProblem(graph, k),
                     node_budget=cfg.node_budget, time_budget=cfg.time_budget)
     except BudgetExceeded as exc:
-        return [VerificationRecord(**base, solved=None, status=SKIPPED,
-                                   reason=f"budget({exc})")]
-    status, reason = _status_for(pred, sol)
-    return [VerificationRecord(**base, solved=_solved_repr(sol), status=status,
-                               reason=reason, nodes=sol.nodes,
-                               millis=sol.elapsed * 1000.0)]
+        return VerificationRecord(**base, solved=None, status=SKIPPED,
+                                  reason=f"budget({exc})")
+    return VerificationRecord(**base, solved=_solved_repr(sol),
+                              status=_status_for(pred, sol), nodes=sol.nodes,
+                              millis=sol.elapsed * 1000.0)
 
 
-def _run_oracle_task(task: dict) -> list[VerificationRecord]:
-    cfg: SuiteConfig = task["cfg"]
-    ring, graph = _graph_for(task["expr"])
-    k = task["k"]
+def _check_formula(cfg: SuiteConfig, task: RingTask, ring: FiniteRing,
+                   graph: ZdGraph) -> list[VerificationRecord]:
+    return [_formula_record(cfg, task, ring, graph, k, pred)
+            for k, pred in task.cells]
+
+
+def _oracle_record(cfg: SuiteConfig, task: RingTask, ring: FiniteRing,
+                   graph: ZdGraph, k: int) -> VerificationRecord:
     ref = oracle_solve(AllianceProblem(graph, k), max_vertices=cfg.oracle_max)
-    base = dict(family="known_graphs", params=task["params"], ring=ring.label,
+    base = dict(family=task.family, params=task.params, ring=ring.label,
                 vertices=graph.vertex_count, k=k,
                 predicted_kind="exact" if ref.feasible else "infeasible",
                 predicted_lo=ref.size, predicted_hi=ref.size)
@@ -232,31 +240,41 @@ def _run_oracle_task(task: dict) -> list[VerificationRecord]:
         sol = solve(AllianceProblem(graph, k), node_budget=cfg.node_budget,
                     time_budget=cfg.time_budget)
     except BudgetExceeded as exc:
-        return [VerificationRecord(**base, solved=None, status=SKIPPED,
-                                   reason=f"budget({exc})")]
+        return VerificationRecord(**base, solved=None, status=SKIPPED,
+                                  reason=f"budget({exc})")
     agree = (sol.feasible, sol.size) == (ref.feasible, ref.size)
-    return [VerificationRecord(**base, solved=_solved_repr(sol),
-                               status=MATCH if agree else MISMATCH,
-                               nodes=sol.nodes, millis=sol.elapsed * 1000.0)]
+    return VerificationRecord(**base, solved=_solved_repr(sol),
+                              status=MATCH if agree else MISMATCH,
+                              nodes=sol.nodes, millis=sol.elapsed * 1000.0)
 
 
-def check_cardinality_bounds(ring: FiniteRing,
-                             spect: Optional[dict[int, AllianceSolution]] = None,
-                             *, node_budget: Optional[int] = None,
+def _check_oracle(cfg: SuiteConfig, task: RingTask, ring: FiniteRing,
+                  graph: ZdGraph) -> list[VerificationRecord]:
+    if graph.vertex_count > cfg.oracle_max:
+        return [VerificationRecord(
+            family=task.family, params=task.params, ring=ring.label,
+            vertices=graph.vertex_count, k=0, predicted_kind="exact",
+            predicted_lo=None, predicted_hi=None, solved=None, status=SKIPPED,
+            reason=f"oracle-cap({graph.vertex_count})")]
+    return [_oracle_record(cfg, task, ring, graph, k)
+            for k in range(-graph.max_degree, graph.max_degree + 1)]
+
+
+def check_cardinality_bounds(ring: FiniteRing, graph: ZdGraph, *,
+                             node_budget: Optional[int] = None,
                              time_budget: Optional[float] = None
                              ) -> list[VerificationRecord]:
     """Zero-divisor cardinality bounds against the solved spectrum.
 
-    Emits one record per k in [-max_degree, min_degree] checking
-    |Z(R)| <= 1 + γ² - kγ, a row for the min over k, a refinement row built
-    from the k = -1 witness's common neighborhood, and for local rings the
-    per-k pair rows plus the max-min row that bounds |Z(R)| for them.
+    ``graph`` is the zero-divisor graph of ``ring``.  Emits one record per k
+    in [-max_degree, min_degree] checking |Z(R)| <= 1 + γ² - kγ, a row for
+    the min over k, a refinement row built from the k = -1 witness's common
+    neighborhood, and for local rings the per-k pair rows plus the max-min
+    row that bounds |Z(R)| for them.
     """
-    graph = build_graph(ring)
     zcount = len(zero_divisors(ring))
     lo, hi = -graph.max_degree, graph.min_degree
-    if spect is None:
-        spect = spectrum(graph, node_budget=node_budget, time_budget=time_budget)
+    spect = spectrum(graph, node_budget=node_budget, time_budget=time_budget)
     records: list[VerificationRecord] = []
     base = dict(family="bounds", ring=ring.label, vertices=graph.vertex_count)
     a_values: dict[int, int] = {}
@@ -314,70 +332,61 @@ def check_cardinality_bounds(ring: FiniteRing,
     return records
 
 
-def _run_bounds_task(task: dict) -> list[VerificationRecord]:
-    cfg: SuiteConfig = task["cfg"]
-    ring = build_ring(task["expr"])
-    graph = build_graph(ring)
+def _check_bounds(cfg: SuiteConfig, task: RingTask, ring: FiniteRing,
+                  graph: ZdGraph) -> list[VerificationRecord]:
     if graph.vertex_count > cfg.max_vertices:
         reason = f"vertex-cap({graph.vertex_count})"
     else:
         try:
-            return check_cardinality_bounds(ring, node_budget=cfg.node_budget,
+            return check_cardinality_bounds(ring, graph,
+                                            node_budget=cfg.node_budget,
                                             time_budget=cfg.time_budget)
         except BudgetExceeded as exc:
             reason = f"budget({exc})"
     return [VerificationRecord(
-        family="bounds", params="check=A", ring=ring.label,
+        family=task.family, params="check=A", ring=ring.label,
         vertices=graph.vertex_count, k=0, predicted_kind="bounds",
         predicted_lo=None, predicted_hi=None, solved=None, status=SKIPPED,
         reason=reason)]
 
 
-def _run_pinned_refinement_task(task: dict) -> list[VerificationRecord]:
+def _check_pinned(cfg: SuiteConfig, task: RingTask, ring: FiniteRing,
+                  graph: ZdGraph) -> list[VerificationRecord]:
     # Common-neighborhood refinement evaluated on a pinned vertex set: the
     # two-element set {(1,0),(1,2)} of Z2 x Z4 is dominating and its shared
     # neighborhood is {(0,2)}, giving 1+1+4-2(-1+1) = 6 = |Z(R)|.  The set
     # itself fails the defensive predicate (its members are non-adjacent),
     # which the graph tests pin separately; the row records that even this
     # set's arithmetic lands exactly on |Z(R)|.
-    ring = build_ring(task["expr"])
-    graph = build_graph(ring)
-    mask = graph.mask_of_elements(task["set_elements"])
+    mask = graph.mask_of_elements((4, 6))
     inter = graph.full_mask
     for v in graph.vertices_of(mask):
         inter &= graph.adj[v]
     lam = (inter & ~mask).bit_count()
-    refined = formulas.zero_divisor_count_bound(mask.bit_count(), task["k"], lam)
+    refined = formulas.zero_divisor_count_bound(mask.bit_count(), -1, lam)
     zcount = len(zero_divisors(ring))
     labels = ",".join(graph.labels_of(mask))
     return [VerificationRecord(
-        family="bounds", params=f"check=A-refined-pinned;set={labels};lambda={lam}",
-        ring=ring.label, vertices=graph.vertex_count, k=task["k"],
+        family=task.family,
+        params=f"check=A-refined-pinned;set={labels};lambda={lam}",
+        ring=ring.label, vertices=graph.vertex_count, k=-1,
         predicted_kind="bounds", predicted_lo=0, predicted_hi=refined,
         solved=zcount,
         status=WITHIN_BOUNDS if zcount <= refined else MISMATCH)]
 
 
-def _run_skip_task(task: dict) -> list[VerificationRecord]:
-    graph = build_graph(build_ring(task["expr"]))
-    return [VerificationRecord(
-        family=task["family"], params=task["params"],
-        ring=graph.ring_label, vertices=graph.vertex_count, k=0,
-        predicted_kind="exact", predicted_lo=None, predicted_hi=None,
-        solved=None, status=SKIPPED, reason=task["reason"])]
-
-
-_TASK_RUNNERS: dict[str, Callable[[dict], list[VerificationRecord]]] = {
-    "formula": _run_formula_task,
-    "oracle": _run_oracle_task,
-    "bounds": _run_bounds_task,
-    "pinned_refinement": _run_pinned_refinement_task,
-    "skip": _run_skip_task,
+_CHECKS: dict[str, Callable[..., list[VerificationRecord]]] = {
+    "formula": _check_formula,
+    "oracle": _check_oracle,
+    "bounds": _check_bounds,
+    "pinned": _check_pinned,
 }
 
 
-def _execute(task: dict) -> list[VerificationRecord]:
-    return _TASK_RUNNERS[task["kind"]](task)
+def _run_task(cfg: SuiteConfig, task: RingTask) -> list[VerificationRecord]:
+    """Build the task's ring and graph once and run its check on them."""
+    ring = build_ring(task.expr)
+    return _CHECKS[task.check](cfg, task, ring, build_graph(ring))
 
 
 # ---------------------------------------------------------------------------
@@ -403,66 +412,61 @@ def _grid_items(cfg: SuiteConfig, default: Sequence):
     return tuple(s.strip() for s in cfg.grid.split(";") if s.strip())
 
 
-def _build_tables(cfg: SuiteConfig) -> list[dict]:
-    tasks = []
-    for expr, pinned in PINNED_SPECTRA.items():
-        for k, value in pinned.items():
-            tasks.append(dict(kind="formula", cfg=cfg, family="tables",
-                              params="pinned-spectrum", expr=expr, k=k,
-                              pred=formulas.exact(value, "pinned")))
-    return tasks
+def _formula_task(expr: str, family: str, params: str, ks: range,
+                  predict: Callable[[int], formulas.Prediction]) -> RingTask:
+    return RingTask("formula", expr, family, params,
+                    tuple((k, predict(k)) for k in ks))
 
 
-def _build_zpn(cfg: SuiteConfig) -> list[dict]:
+def _build_tables(cfg: SuiteConfig) -> list[RingTask]:
+    return [RingTask("formula", expr, "tables", "pinned-spectrum",
+                     tuple((k, formulas.exact(value, "pinned"))
+                           for k, value in pinned.items()))
+            for expr, pinned in PINNED_SPECTRA.items()]
+
+
+def _build_zpn(cfg: SuiteConfig) -> list[RingTask]:
     tasks = []
     for p, n in _grid_pairs(cfg, ZPN_GRID):
         if n == 2:
             ks = range(2 - p, p - 1)
         else:
             ks = range(2 - p ** (n - 1), p)
-        for k in ks:
-            tasks.append(dict(kind="formula", cfg=cfg, family="zpn",
-                              params=f"p={p};n={n}", expr=f"Z{p ** n}", k=k,
-                              pred=formulas.predict_prime_power(p, n, k)))
+        tasks.append(_formula_task(f"Z{p ** n}", "zpn", f"p={p};n={n}", ks,
+                                   partial(formulas.predict_prime_power, p, n)))
     return tasks
 
 
-def _build_fields(cfg: SuiteConfig) -> list[dict]:
+def _build_fields(cfg: SuiteConfig) -> list[RingTask]:
     tasks = []
     for f, q in _grid_pairs(cfg, FIELD_PAIRS):
-        expr = f"{field_expr(f)} x {field_expr(q)}"
         hi = 1 if f == 2 else f - 1
-        for k in range(1 - q, hi + 1):
-            tasks.append(dict(kind="formula", cfg=cfg, family="two_fields",
-                              params=f"f={f};q={q}", expr=expr, k=k,
-                              pred=formulas.predict_two_fields(f, q, k)))
+        tasks.append(_formula_task(
+            f"{field_expr(f)} x {field_expr(q)}", "two_fields", f"f={f};q={q}",
+            range(1 - q, hi + 1), partial(formulas.predict_two_fields, f, q)))
     return tasks
 
 
-def _build_z2z2F(cfg: SuiteConfig) -> list[dict]:
+def _build_z2z2F(cfg: SuiteConfig) -> list[RingTask]:
     tasks = []
     for f in _grid_items(cfg, Z2Z2F_SIZES):
         f = int(f)
-        expr = f"Z2 x Z2 x {field_expr(f)}"
-        for k in range(1 - 2 * f, 2):
-            tasks.append(dict(kind="formula", cfg=cfg, family="z2z2F",
-                              params=f"f={f}", expr=expr, k=k,
-                              pred=formulas.predict_z2z2_field(f, k)))
+        tasks.append(_formula_task(
+            f"Z2 x Z2 x {field_expr(f)}", "z2z2F", f"f={f}",
+            range(1 - 2 * f, 2), partial(formulas.predict_z2z2_field, f)))
     return tasks
 
 
-def _build_z2FK(cfg: SuiteConfig) -> list[dict]:
+def _build_z2FK(cfg: SuiteConfig) -> list[RingTask]:
     tasks = []
     for f, q in _grid_pairs(cfg, Z2FK_PAIRS):
-        expr = f"Z2 x {field_expr(f)} x {field_expr(q)}"
-        for k in range(1 - f * q, 2):
-            tasks.append(dict(kind="formula", cfg=cfg, family="z2FK",
-                              params=f"f={f};q={q}", expr=expr, k=k,
-                              pred=formulas.predict_z2_two_fields(f, q, k)))
+        tasks.append(_formula_task(
+            f"Z2 x {field_expr(f)} x {field_expr(q)}", "z2FK", f"f={f};q={q}",
+            range(1 - f * q, 2), partial(formulas.predict_z2_two_fields, f, q)))
     return tasks
 
 
-def _build_z2local(cfg: SuiteConfig) -> list[dict]:
+def _build_z2local(cfg: SuiteConfig) -> list[RingTask]:
     tasks = []
     for base_expr in _grid_items(cfg, Z2LOCAL_RINGS):
         base = build_ring(base_expr)
@@ -471,52 +475,36 @@ def _build_z2local(cfg: SuiteConfig) -> list[dict]:
             raise ValueError(f"{base_expr} is not a local non-field ring")
         r, z = base.order, len(struct.maximal_ideal)
         index2 = struct.nilpotency_index == 2
-        expr = f"Z2 x {base_expr}"
-        for k in range(1 - r, 2):
-            tasks.append(dict(
-                kind="formula", cfg=cfg, family="z2_local",
-                params=f"R={base_expr};r={r};z={z};index2={int(index2)}",
-                expr=expr, k=k,
-                pred=formulas.predict_z2_local(r, z, index2, k)))
+        tasks.append(_formula_task(
+            f"Z2 x {base_expr}", "z2_local",
+            f"R={base_expr};r={r};z={z};index2={int(index2)}", range(1 - r, 2),
+            partial(formulas.predict_z2_local, r, z, index2)))
     return tasks
 
 
-def _build_idealizations(cfg: SuiteConfig) -> list[dict]:
+def _build_idealizations(cfg: SuiteConfig) -> list[RingTask]:
     tasks = []
     for p, n in _grid_pairs(cfg, IDEALIZATION_GRID):
         m = p ** n
-        expr = f"Id(Z{p}, {n})"
-        for k in range(2 - m, m - 1):
-            tasks.append(dict(kind="formula", cfg=cfg, family="idealization",
-                              params=f"p={p};n={n}", expr=expr, k=k,
-                              pred=formulas.predict_local_index2(m, k)))
+        tasks.append(_formula_task(
+            f"Id(Z{p}, {n})", "idealization", f"p={p};n={n}",
+            range(2 - m, m - 1), partial(formulas.predict_local_index2, m)))
     return tasks
 
 
-def _build_bounds(cfg: SuiteConfig) -> list[dict]:
-    tasks = [dict(kind="bounds", cfg=cfg, expr=expr)
+def _build_bounds(cfg: SuiteConfig) -> list[RingTask]:
+    tasks = [RingTask("bounds", expr, "bounds")
              for expr in _grid_items(cfg, BOUNDS_RINGS)]
-    tasks.append(dict(kind="pinned_refinement", cfg=cfg, expr="Z2 x Z4",
-                      set_elements=(4, 6), k=-1))
+    tasks.append(RingTask("pinned", "Z2 x Z4", "bounds"))
     return tasks
 
 
-def _build_known_graphs(cfg: SuiteConfig) -> list[dict]:
-    tasks = []
-    for expr in _grid_items(cfg, KNOWN_GRAPH_CORPUS):
-        graph = build_graph(build_ring(expr))
-        if graph.vertex_count > cfg.oracle_max:
-            tasks.append(dict(kind="skip", cfg=cfg, family="known_graphs",
-                              expr=expr, params="solve-vs-oracle",
-                              reason=f"oracle-cap({graph.vertex_count})"))
-            continue
-        for k in range(-graph.max_degree, graph.max_degree + 1):
-            tasks.append(dict(kind="oracle", cfg=cfg, expr=expr, k=k,
-                              params="solve-vs-oracle"))
-    return tasks
+def _build_known_graphs(cfg: SuiteConfig) -> list[RingTask]:
+    return [RingTask("oracle", expr, "known_graphs", "solve-vs-oracle")
+            for expr in _grid_items(cfg, KNOWN_GRAPH_CORPUS)]
 
 
-SUITES: dict[str, Callable[[SuiteConfig], list[dict]]] = {
+SUITES: dict[str, Callable[[SuiteConfig], list[RingTask]]] = {
     "tables": _build_tables,
     "zpn": _build_zpn,
     "fields": _build_fields,
@@ -541,14 +529,15 @@ def run_suite(cfg: SuiteConfig) -> list[VerificationRecord]:
         raise ValueError(f"unknown suite {cfg.suite!r}; "
                          f"choose from {sorted(SUITES)}") from None
     tasks = builder(cfg)
+    run = partial(_run_task, cfg)
     records: list[VerificationRecord] = []
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            for chunk in pool.map(_execute, tasks):
+            for chunk in pool.map(run, tasks):
                 records.extend(chunk)
     else:
         for task in tasks:
-            records.extend(_execute(task))
+            records.extend(run(task))
     records.sort(key=_record_sort_key)
     return records
 
@@ -582,14 +571,25 @@ def records_to_dicts(records: Sequence[VerificationRecord]) -> list[dict]:
 
 
 def records_from_dicts(rows: Sequence[dict]) -> list[VerificationRecord]:
-    return [VerificationRecord(
-        family=row["family"], params=row["params"], ring=row["ring"],
-        vertices=int(row["vertices"]), k=int(row["k"]),
-        predicted_kind=row["predicted_kind"],
-        predicted_lo=row.get("predicted_lo"), predicted_hi=row.get("predicted_hi"),
-        solved=row.get("solved"), status=row["status"],
-        reason=row.get("reason", ""), nodes=int(row.get("nodes", 0)),
-        millis=float(row.get("millis", 0.0))) for row in rows]
+    """Inverse of records_to_dicts; a malformed row raises ValueError."""
+    records = []
+    for index, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ValueError(f"record {index}: expected an object, "
+                             f"got {type(row).__name__}")
+        try:
+            records.append(VerificationRecord(
+                family=row["family"], params=row["params"], ring=row["ring"],
+                vertices=int(row["vertices"]), k=int(row["k"]),
+                predicted_kind=row["predicted_kind"],
+                predicted_lo=row.get("predicted_lo"),
+                predicted_hi=row.get("predicted_hi"),
+                solved=row.get("solved"), status=row["status"],
+                reason=row.get("reason", ""), nodes=int(row.get("nodes", 0)),
+                millis=float(row.get("millis", 0.0))))
+        except KeyError as exc:
+            raise ValueError(f"record {index}: missing key {exc}") from None
+    return records
 
 
 def _emit_csv(records: Sequence[VerificationRecord]) -> str:

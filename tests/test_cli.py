@@ -170,8 +170,8 @@ def test_verify_mismatch_exits_2(capsys, monkeypatch):
     import zdalliance.verify as V
 
     def bad_suite(cfg):
-        return [dict(kind="formula", cfg=cfg, family="tables", params="bad",
-                     expr="Z8", k=0, pred=formulas.exact(99, "pinned"))]
+        return [V.RingTask("formula", "Z8", "tables", "bad",
+                           ((0, formulas.exact(99, "pinned")),))]
 
     monkeypatch.setitem(V.SUITES, "tables", bad_suite)
     code, out, _ = run(capsys, "verify", "tables")
@@ -187,6 +187,38 @@ def test_verify_config_file(capsys, tmp_path):
     assert code == 0
     assert "3 records" in out
     assert "3 MATCH" in out
+
+
+def test_verify_flags_override_config_file(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("suite = zpn\nformat = md\n")
+    out_file = tmp_path / "tables.csv"
+    code, out, _ = run(capsys, "verify", "tables", "--config", str(cfg),
+                       "--format", "csv", "--out", str(out_file))
+    assert code == 0
+    assert "suite tables: 18 records" in out
+    assert "(csv)" in out
+    assert out_file.read_text().startswith("family,params,ring,")
+
+
+def test_report_row_missing_key_exit_1(capsys, tmp_path):
+    records_file = tmp_path / "records.json"
+    records_file.write_text(json.dumps(
+        [{"family": "tables", "ring": "Z8", "vertices": 3, "k": 0,
+          "predicted_kind": "exact", "status": "MATCH"}]))
+    code, out, err = run(capsys, "report", "--in", str(records_file))
+    assert code == 1
+    assert out == ""
+    assert "error: record 0: missing key 'params'" in err
+
+
+def test_report_scalar_file_exit_1(capsys, tmp_path):
+    records_file = tmp_path / "records.json"
+    records_file.write_text("5")
+    code, out, err = run(capsys, "report", "--in", str(records_file))
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and "got int" in err
 
 
 def test_report_missing_file(capsys, tmp_path):

@@ -1,12 +1,16 @@
 """Verification suites, records, and report emission."""
 
 import csv
+import importlib
 import io
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
-from zdalliance import SuiteConfig, run_suite, summarize
+from zdalliance import (SuiteConfig, build_graph, run_suite, solver,
+                        summarize, verify)
 from zdalliance.verify import (CSV_COLUMNS, emit_report, parse_config_file,
                                apply_config, records_from_dicts,
                                records_to_dicts)
@@ -89,10 +93,43 @@ def test_summarize():
 
 
 def test_jobs_match_sequential():
-    a = run_suite(SuiteConfig(suite="tables"))
-    b = run_suite(SuiteConfig(suite="tables", jobs=2))
-    key = lambda r: (r.family, r.params, r.ring, r.k, r.status, r.solved)
-    assert list(map(key, a)) == list(map(key, b))
+    # tables, bounds and this known_graphs grid (Z81 is over the oracle
+    # cap) run every check kind through the process pool
+    key = lambda r: (r.family, r.params, r.ring, r.k, r.status, r.solved,
+                     r.reason, r.nodes)
+    for suite, grid in [("tables", None), ("bounds", None),
+                        ("known_graphs", "Z12; Z8; Z81")]:
+        a = run_suite(SuiteConfig(suite=suite, grid=grid))
+        b = run_suite(SuiteConfig(suite=suite, grid=grid, jobs=2))
+        assert list(map(key, a)) == list(map(key, b)), suite
+
+
+def test_each_task_ring_builds_its_graph_once(monkeypatch):
+    calls = []
+
+    def counting_build_graph(ring):
+        calls.append(ring.label)
+        return build_graph(ring)
+
+    monkeypatch.setattr(verify, "build_graph", counting_build_graph)
+    run_suite(SuiteConfig(suite="bounds"))
+    assert len(calls) == 9  # 8 rings plus the pinned Z2 x Z4 row
+    calls.clear()
+    run_suite(SuiteConfig(suite="known_graphs", grid="Z12; Z8; Z81"))
+    assert calls == ["Z12", "Z8", "Z81"]
+
+
+def test_perfbench_traced_names_exist(monkeypatch):
+    # perfbench/one_pass.py --trace 1 wraps these names by setattr; a
+    # missing one would break the traced benchmark run
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    one_pass = importlib.import_module("one_pass")
+    for name in one_pass.VERIFY_IMPORTS:
+        assert callable(getattr(verify, name, None)), name
+    for name in one_pass.SOLVER_INTERNALS:
+        assert callable(getattr(solver, name, None)), name
 
 
 def test_csv_deterministic_modulo_timing():
