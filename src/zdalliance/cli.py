@@ -33,17 +33,21 @@ EXIT_UNKNOWN = 3
 
 def _order_cap() -> Optional[int]:
     raw = os.environ.get("ZDK_ORDER_CAP")
-    return int(raw) if raw else None
+    try:
+        return int(raw) if raw else None
+    except ValueError:
+        raise ValueError(f"ZDK_ORDER_CAP: expected an integer, "
+                         f"got {raw!r}") from None
 
 
 def _ring(expr: str) -> FiniteRing:
     return build_ring(expr, _order_cap())
 
 
-def _print_expr_error(expr: str, err: ExprError) -> None:
+def _print_expr_error(err: ExprError) -> None:
     print(f"error: {err}", file=sys.stderr)
-    if 0 <= err.offset <= len(expr):
-        print(f"  {expr}", file=sys.stderr)
+    if 0 <= err.offset <= len(err.text):
+        print(f"  {err.text}", file=sys.stderr)
         print(f"  {' ' * err.offset}^", file=sys.stderr)
 
 
@@ -291,11 +295,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; keep 2 for mismatches instead
         return EXIT_USAGE if exc.code else EXIT_OK
-    expr = getattr(args, "expr", "")
     try:
         return args.func(args)
     except ExprError as err:
-        _print_expr_error(expr, err)
+        _print_expr_error(err)
         return EXIT_USAGE
     except CapacityError as err:
         print(f"error: {err}", file=sys.stderr)

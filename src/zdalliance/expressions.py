@@ -23,9 +23,12 @@ from .rings import FiniteRing, is_prime, make_gf, make_idealization, make_produc
 
 
 class ExprError(ValueError):
-    def __init__(self, message: str, offset: int):
+    """An expression error at byte ``offset`` of ``text`` (when known)."""
+
+    def __init__(self, message: str, offset: int, text: str = ""):
         super().__init__(f"{message} (offset {offset})")
         self.offset = offset
+        self.text = text
 
 
 class ExprSyntaxError(ExprError):
@@ -84,7 +87,8 @@ class _Parser:
         self.pos = 0
 
     def error(self, message: str, offset: Optional[int] = None) -> ExprSyntaxError:
-        return ExprSyntaxError(message, self.pos if offset is None else offset)
+        return ExprSyntaxError(message, self.pos if offset is None else offset,
+                               self.text)
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -132,14 +136,17 @@ class _Parser:
                 second, soff = self.digits()
                 self.expect(")")
                 if not is_prime(first):
-                    raise ExprSemanticError(f"GF characteristic {first} is not prime", foff)
+                    raise ExprSemanticError(
+                        f"GF characteristic {first} is not prime", foff, self.text)
                 if second < 1:
-                    raise ExprSemanticError(f"GF degree must be >= 1, got {second}", soff)
+                    raise ExprSemanticError(
+                        f"GF degree must be >= 1, got {second}", soff, self.text)
                 return GF(first, second)
             self.expect(")")
             pk = _factor_prime_power(first)
             if pk is None:
-                raise ExprSemanticError(f"GF order {first} is not a prime power", foff)
+                raise ExprSemanticError(
+                    f"GF order {first} is not a prime power", foff, self.text)
             return GF(*pk)
         if self.text.startswith("Id", self.pos):
             self.pos += 2
@@ -149,13 +156,14 @@ class _Parser:
             rank, roff = self.digits()
             self.expect(")")
             if rank < 1:
-                raise ExprSemanticError(f"idealization rank must be >= 1, got {rank}", roff)
+                raise ExprSemanticError(
+                    f"idealization rank must be >= 1, got {rank}", roff, self.text)
             return Idealization(base, rank)
         if self.peek() == "Z":
             self.pos += 1
             n, noff = self.digits()
             if n < 2:
-                raise ExprSemanticError(f"Z_n needs n >= 2, got {n}", noff)
+                raise ExprSemanticError(f"Z_n needs n >= 2, got {n}", noff, self.text)
             return Zn(n)
         if self.peek() == "(":
             self.pos += 1

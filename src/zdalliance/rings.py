@@ -1,9 +1,10 @@
 """Finite commutative rings with identity on canonical integer element ids.
 
 Every ring places its elements on the ids ``0 .. order-1`` with id 0 the
-additive identity.  Arithmetic is computed on demand from the construction
-so memory stays linear in the order; full operation tables are memoized
-only below order 256.  Four constructions are provided:
+additive identity.  A ring is a frozen record of its construction's own
+functions: ``ring.mul(a, b)`` calls the construction's multiplication
+directly, so memory stays linear in the order.  Four constructions are
+provided:
 
 * ``make_zn(n)``        -- residues modulo ``n``; id i is the residue i.
 * ``make_gf(p, k)``     -- the field of order p**k, as polynomials modulo
@@ -27,14 +28,10 @@ vertex orders and reports.  All constructors enforce an order cap (default
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 DEFAULT_ORDER_CAP = 4096
-
-# Memoizing full tables is permitted below order 256; above that all
-# arithmetic stays on demand.
-_MEMO_MAX_ORDER = 255
 
 
 class CapacityError(ValueError):
@@ -54,52 +51,26 @@ def _check_cap(order: int, order_cap: Optional[int], what: str) -> None:
         raise CapacityError(f"{what} has order {order}, above the cap {cap}")
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class FiniteRing:
     """Immutable finite commutative ring with identity.
 
     ``add``/``mul``/``neg`` are total over ``0 <= id < order``.  ``one`` is
     the id of the multiplicative identity (1 except for direct products,
-    whose encoding is fixed by the mixed-radix contract).
+    whose encoding is fixed by the mixed-radix contract).  Equality and
+    hashing are by identity.
     """
 
-    __slots__ = ("order", "label", "one", "_add", "_mul", "_neg",
-                 "_label_of", "_add_t", "_mul_t")
-
-    def __init__(self, order: int, add: Callable[[int, int], int],
-                 mul: Callable[[int, int], int], neg: Callable[[int], int],
-                 one: int, label: str,
-                 element_label: Optional[Callable[[int], str]] = None):
-        self.order = order
-        self.label = label
-        self.one = one
-        self._add = add
-        self._mul = mul
-        self._neg = neg
-        self._label_of = element_label if element_label is not None else str
-        if order <= _MEMO_MAX_ORDER:
-            rng = range(order)
-            self._add_t = [[add(a, b) for b in rng] for a in rng]
-            self._mul_t = [[mul(a, b) for b in rng] for a in rng]
-        else:
-            self._add_t = None
-            self._mul_t = None
-
-    def add(self, a: int, b: int) -> int:
-        t = self._add_t
-        return t[a][b] if t is not None else self._add(a, b)
-
-    def mul(self, a: int, b: int) -> int:
-        t = self._mul_t
-        return t[a][b] if t is not None else self._mul(a, b)
-
-    def neg(self, a: int) -> int:
-        return self._neg(a)
+    order: int
+    add: Callable[[int, int], int]
+    mul: Callable[[int, int], int]
+    neg: Callable[[int], int]
+    one: int
+    label: str
+    element_label: Callable[[int], str] = str
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self._neg(b))
-
-    def element_label(self, a: int) -> str:
-        return self._label_of(a)
+        return self.add(a, self.neg(b))
 
     @property
     def elements(self) -> range:
@@ -197,8 +168,7 @@ def make_gf(p: int, k: int = 1, order_cap: Optional[int] = None) -> FiniteRing:
     q = p ** k
     _check_cap(q, order_cap, f"GF({q})")
     if k == 1:
-        ring = make_zn(p, order_cap)
-        return FiniteRing(p, ring._add, ring._mul, ring._neg, 1, f"GF({p})")
+        return replace(make_zn(p, order_cap), label=f"GF({p})")
 
     modulus = _smallest_irreducible(p, k)  # little-endian, monic of degree k
     low = modulus[:k]
@@ -342,18 +312,11 @@ def make_idealization(base: FiniteRing, rank: int = 1,
 def zero_divisors(ring: FiniteRing) -> frozenset[int]:
     """All x with xy = 0 for some y != 0, plus 0 itself."""
     n = ring.order
-    table = ring._mul_t
+    mul = ring.mul
     out = {0}
-    if table is not None:
-        for x in range(1, n):
-            row = table[x]
-            if any(row[y] == 0 for y in range(1, n)):
-                out.add(x)
-    else:
-        for x in range(1, n):
-            mul = ring.mul
-            if any(mul(x, y) == 0 for y in range(1, n)):
-                out.add(x)
+    for x in range(1, n):
+        if any(mul(x, y) == 0 for y in range(1, n)):
+            out.add(x)
     return frozenset(out)
 
 

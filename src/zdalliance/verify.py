@@ -104,6 +104,15 @@ def parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
+def _config_number(key: str, value: str, kind: type):
+    try:
+        return kind(value)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"config key {key!r}: expected {what}, "
+                         f"got {value!r}") from None
+
+
 def apply_config(cfg: SuiteConfig, options: dict[str, str]) -> SuiteConfig:
     updates: dict = {}
     for key, value in options.items():
@@ -112,11 +121,11 @@ def apply_config(cfg: SuiteConfig, options: dict[str, str]) -> SuiteConfig:
         elif key == "grid":
             updates["grid"] = value
         elif key in ("max_vertices", "jobs", "oracle_max"):
-            updates[key] = int(value)
-        elif key == "node_budget":
-            updates["node_budget"] = None if value.lower() == "none" else int(value)
-        elif key == "time_budget":
-            updates["time_budget"] = None if value.lower() == "none" else float(value)
+            updates[key] = _config_number(key, value, int)
+        elif key in ("node_budget", "time_budget"):
+            kind = int if key == "node_budget" else float
+            updates[key] = (None if value.lower() == "none"
+                            else _config_number(key, value, kind))
         elif key == "out":
             updates["out"] = value
         elif key == "format":
@@ -401,8 +410,12 @@ def _grid_pairs(cfg: SuiteConfig, default: Sequence[tuple[int, int]]):
         chunk = chunk.strip()
         if not chunk:
             continue
-        a, b = chunk.split(",")
-        pairs.append((int(a), int(b)))
+        try:
+            a, b = (int(v) for v in chunk.split(","))
+        except ValueError:
+            raise ValueError(f"grid entry {chunk!r}: expected two integers "
+                             "'a,b'") from None
+        pairs.append((a, b))
     return tuple(pairs)
 
 
@@ -449,8 +462,11 @@ def _build_fields(cfg: SuiteConfig) -> list[RingTask]:
 
 def _build_z2z2F(cfg: SuiteConfig) -> list[RingTask]:
     tasks = []
-    for f in _grid_items(cfg, Z2Z2F_SIZES):
-        f = int(f)
+    for item in _grid_items(cfg, Z2Z2F_SIZES):
+        try:
+            f = int(item)
+        except ValueError:
+            raise ValueError(f"grid entry {item!r}: expected an integer") from None
         tasks.append(_formula_task(
             f"Z2 x Z2 x {field_expr(f)}", "z2z2F", f"f={f}",
             range(1 - 2 * f, 2), partial(formulas.predict_z2z2_field, f)))

@@ -105,6 +105,46 @@ def test_parse_error_exit_1_with_caret(capsys):
     assert "   ^" in err
 
 
+def test_verify_grid_parse_error_points_into_grid_entry(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid = Z4; 2\n")
+    code, _, err = run(capsys, "verify", "known_graphs", "--config", str(cfg))
+    assert code == 1
+    assert err.splitlines() == ["error: expected a ring term (offset 0)",
+                                "  2", "  ^"]
+
+
+@pytest.mark.parametrize("argv, config, order_cap, message", [
+    (["verify", "zpn"], "grid = 2;3", None,
+     "grid entry '2': expected two integers 'a,b'"),
+    (["verify", "zpn"], "grid = 2,3,4", None,
+     "grid entry '2,3,4': expected two integers 'a,b'"),
+    (["verify", "z2z2F"], "grid = x", None,
+     "grid entry 'x': expected an integer"),
+    (["verify", "tables"], "max_vertices = ten", None,
+     "config key 'max_vertices': expected an integer, got 'ten'"),
+    (["verify", "tables"], "node_budget = lots", None,
+     "config key 'node_budget': expected an integer, got 'lots'"),
+    (["verify", "tables"], "time_budget = soon", None,
+     "config key 'time_budget': expected a number, got 'soon'"),
+    (["ring-info", "Z4"], None, "abc",
+     "ZDK_ORDER_CAP: expected an integer, got 'abc'"),
+], ids=["pair-grid-one-value", "pair-grid-three-values", "int-grid",
+        "config-int", "config-node-budget", "config-float", "order-cap-env"])
+def test_malformed_run_parameter_names_its_source(
+        capsys, tmp_path, monkeypatch, argv, config, order_cap, message):
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config + "\n")
+        argv = argv + ["--config", str(cfg)]
+    if order_cap is not None:
+        monkeypatch.setenv("ZDK_ORDER_CAP", order_cap)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_semantic_error_exit_1(capsys):
     code, _, err = run(capsys, "ring-info", "GF(6)")
     assert code == 1

@@ -45,6 +45,7 @@ def test_syntax_errors_carry_offsets():
     with pytest.raises(ExprSyntaxError) as exc:
         parse_ring_expr("Z4 y Z2")
     assert exc.value.offset == 3
+    assert exc.value.text == "Z4 y Z2"
     with pytest.raises(ExprSyntaxError) as exc:
         parse_ring_expr("Z2 x")
     assert exc.value.offset == 4
@@ -74,6 +75,7 @@ def test_semantic_error_offset_points_at_argument():
     with pytest.raises(ExprError) as exc:
         parse_ring_expr("Z2 x GF(6)")
     assert exc.value.offset >= 5
+    assert exc.value.text == "Z2 x GF(6)"
 
 
 def test_build_ring_from_text_and_ast():

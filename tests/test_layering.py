@@ -1,0 +1,39 @@
+"""No package module touches another object's private names.
+
+A private name is one with a single leading underscore (dunders are
+public protocol).  Only ``self`` and ``cls`` may reach them through an
+attribute; a module's own private functions are called by bare name.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "zdalliance"
+SOURCES = sorted(PACKAGE.glob("*.py"))
+
+
+def _foreign_private_reads(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        name = node.attr
+        if not name.startswith("_") or name.startswith("__"):
+            continue
+        owner = node.value
+        if isinstance(owner, ast.Name) and owner.id in ("self", "cls"):
+            continue
+        found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_package_sources_found():
+    assert {p.name for p in SOURCES} >= {"rings.py", "graphs.py", "solver.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_foreign_private_reads(path):
+    assert _foreign_private_reads(path) == []

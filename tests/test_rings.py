@@ -1,5 +1,6 @@
 """Ring constructors, element sets, and local structure."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -26,6 +27,17 @@ def test_zn_basics():
     assert units(r) == {1, 5}
     assert r.add(4, 5) == 3 and r.mul(4, 5) == 2 and r.neg(2) == 4
     assert r.sub(1, 4) == 3
+
+
+def test_ring_is_frozen_with_identity_equality():
+    r = make_zn(6)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.order = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.mul = lambda a, b: 0
+    assert r.order == 6 and r.mul(2, 3) == 0
+    assert r == r and r != make_zn(6)
+    assert len({r, make_zn(6)}) == 2
 
 
 def test_z12_element_sets():
