@@ -262,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="gamma_k^d for every k in [-D, D]")
     p.add_argument("expr")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None,
+                   help="search node budget for each k")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_spectrum)
 

@@ -310,13 +310,28 @@ def make_idealization(base: FiniteRing, rank: int = 1,
 
 
 def zero_divisors(ring: FiniteRing) -> frozenset[int]:
-    """All x with xy = 0 for some y != 0, plus 0 itself."""
+    """All x with xy = 0 for some y != 0, plus 0 itself.
+
+    Every element of a finite commutative ring is a unit or a zero divisor,
+    so the scan of x stops at the first y with xy = 0 or xy = 1; in the
+    second case x is a unit, and so is y, which is then not scanned.
+    """
     n = ring.order
     mul = ring.mul
+    one = ring.one
     out = {0}
+    known_units = set()
     for x in range(1, n):
-        if any(mul(x, y) == 0 for y in range(1, n)):
-            out.add(x)
+        if x in known_units:
+            continue
+        for y in range(1, n):
+            xy = mul(x, y)
+            if xy == 0:
+                out.add(x)
+                break
+            if xy == one:
+                known_units.add(y)
+                break
     return frozenset(out)
 
 

@@ -1,8 +1,18 @@
 """Exact global defensive k-alliance numbers.
 
-``solve`` runs iterative deepening on the target cardinality s: starting
-from max(domination number, analytic lower bounds) it performs, for each s,
-a depth-first branch-and-bound over vertex subsets in a fixed branching
+A member's condition 2·deg_S(x) ≥ deg(x) + k only gets easier as S grows,
+so the union of all defensive k-alliances is itself one: the largest,
+called the *core* here (see Fernau & Rodríguez-Velázquez, "A survey on
+alliances and related parameters in graphs", EJGTA 2, 2014).
+``_alliance_core`` finds it by repeatedly dropping
+every vertex that fails the condition against the vertices left.  A global
+defensive k-alliance exists iff the core dominates the graph, so an
+infeasible k is decided by that one fixpoint, with no search.
+
+Otherwise ``solve`` runs iterative deepening on the target cardinality s
+over the core's vertices only, since every alliance lies inside the core.
+Starting from the analytic lower bounds it performs, for each s, a
+depth-first branch-and-bound over subsets of the core in a fixed branching
 order (degree descending, ties by ascending element id).  The search runs
 on an explicit stack, so its depth does not touch the interpreter's
 recursion limit; the include branch of a vertex is explored before the
@@ -17,16 +27,16 @@ exclude branch.  A partial set is pruned when
 * fewer undecided vertices remain than the budget requires.
 
 The first feasible set found at the smallest s is optimal because every
-smaller cardinality was exhausted.  Infeasibility is decided by exhausting
-s = vertex_count (S = V is the last candidate); no analytic infeasibility
-shortcut is trusted.  Node/time budgets, when given, raise
-:class:`BudgetExceeded` instead of returning a wrong answer.
+smaller cardinality was exhausted; the deepening stops below s = |core|,
+because the core itself is the only candidate of that size and a witness.  Node/time budgets, when
+given, raise :class:`BudgetExceeded` instead of returning a wrong answer.
+At k = -max_degree every dominating set qualifies, so the domination
+number is that k's answer.
 
 ``spectrum`` is the one entry point for many values of k.  It uses the
 exact monotonicity of the problem: a global defensive (k+1)-alliance is
-also a global defensive k-alliance, so γ_k ≤ γ_{k+1}.  It walks k upward,
-starts each k's rounds at max(analytic lower bound, γ_{k-1}), and marks
-every k above the first infeasible one infeasible without searching.
+also a global defensive k-alliance, so γ_k ≤ γ_{k+1}.  It walks k upward
+and starts each k's rounds at max(analytic lower bound, γ_{k-1}).
 
 ``oracle_solve`` is the independent cross-check: plain enumeration of all
 subsets in increasing popcount order with no pruning beyond the predicate
@@ -78,23 +88,23 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 class _Search:
-    """One depth-first cardinality-s round; shared across s for one solve."""
+    """Depth-first cardinality-s rounds over the vertices of ``pool``;
+    shared across s for one solve."""
 
-    def __init__(self, graph: ZdGraph, k: Optional[int],
+    def __init__(self, graph: ZdGraph, k: int, pool: int,
                  node_budget: Optional[int], deadline: Optional[float]):
         self.k = k
         self.node_budget = node_budget
         self.deadline = deadline
         self.nodes = 0
-        n = graph.vertex_count
         self.full = graph.full_mask
         self.adj = graph.adj
         self.closed = graph.closed
         self.deg = graph.degree
-        order = sorted(range(n), key=lambda v: (-graph.degree[v], v))
+        order = sorted(bits(pool), key=lambda v: (-graph.degree[v], v))
         self.order = order
-        suffix = [0] * (n + 1)
-        for pos in range(n - 1, -1, -1):
+        suffix = [0] * (len(order) + 1)
+        for pos in range(len(order) - 1, -1, -1):
             suffix[pos] = suffix[pos + 1] | (1 << order[pos])
         self.suffix = suffix
 
@@ -108,8 +118,6 @@ class _Search:
 
     def _final_ok(self, s_mask: int) -> bool:
         k = self.k
-        if k is None:
-            return True
         adj = self.adj
         deg = self.deg
         for v in bits(s_mask):
@@ -152,17 +160,16 @@ class _Search:
 
         k = self.k
         adj = self.adj
-        if k is not None and s_mask:
-            m = s_mask
-            while m:
-                low = m & -m
-                m ^= low
-                x = low.bit_length() - 1
-                a = adj[x]
-                rem_n = (a & rem).bit_count()
-                gain = b if b < rem_n else rem_n
-                if 2 * ((a & s_mask).bit_count() + gain) - self.deg[x] < k:
-                    return True
+        m = s_mask
+        while m:
+            low = m & -m
+            m ^= low
+            x = low.bit_length() - 1
+            a = adj[x]
+            rem_n = (a & rem).bit_count()
+            gain = b if b < rem_n else rem_n
+            if 2 * ((a & s_mask).bit_count() + gain) - self.deg[x] < k:
+                return True
 
         und = self.full & ~cov
         if und:
@@ -198,25 +205,19 @@ class _Search:
         return False
 
 
-def _domination(graph: ZdGraph, node_budget: Optional[int],
-                deadline: Optional[float], carried_nodes: int = 0
-                ) -> tuple[int, int, int]:
-    """(domination number, witness, nodes used)."""
-    search = _Search(graph, None, node_budget, deadline)
-    search.nodes = carried_nodes
-    for s in range(1, graph.vertex_count + 1):
-        witness = search.run(s)
-        if witness is not None:
-            return s, witness, search.nodes
-    raise RuntimeError("a nonempty graph always has a dominating set")  # pragma: no cover
-
-
-def domination_number(graph: ZdGraph, *, node_budget: Optional[int] = None,
-                      time_budget: Optional[float] = None) -> tuple[int, int]:
-    """Exact domination number and one minimum dominating set (bitset)."""
-    deadline = None if time_budget is None else time.monotonic() + time_budget
-    size, witness, _ = _domination(graph, node_budget, deadline)
-    return size, witness
+def _alliance_core(graph: ZdGraph, k: int) -> int:
+    """The largest defensive k-alliance as a bitset, 0 when there is none."""
+    adj = graph.adj
+    deg = graph.degree
+    core = graph.full_mask
+    while True:
+        drop = 0
+        for v in bits(core):
+            if 2 * (adj[v] & core).bit_count() < deg[v] + k:
+                drop |= 1 << v
+        if not drop:
+            return core
+        core &= ~drop
 
 
 def _alliance_lower_bound(graph: ZdGraph, k: int, floor: int) -> int:
@@ -234,21 +235,42 @@ def _alliance_lower_bound(graph: ZdGraph, k: int, floor: int) -> int:
 
 
 def _solve_with_gamma(graph: ZdGraph, k: int, floor: int,
-                      node_budget: Optional[int], deadline: Optional[float],
-                      carried_nodes: int) -> AllianceSolution:
-    """Rounds s = max(floor, analytic bounds) .. n for one k; ``floor`` is a
-    proven lower bound: the domination number, or γ_{k-1} in a spectrum."""
+                      node_budget: Optional[int], deadline: Optional[float]
+                      ) -> AllianceSolution:
+    """Rounds s = max(floor, analytic bounds) .. |core| - 1 over the
+    alliance core for one k, which answers s = |core| itself; ``floor`` is a
+    proven lower bound (γ_{k-1} in a spectrum).  A k whose core does not
+    dominate is infeasible, with 0 nodes."""
     start = time.perf_counter()
-    search = _Search(graph, k, node_budget, deadline)
-    search.nodes = carried_nodes
-    lb = _alliance_lower_bound(graph, k, floor)
-    for s in range(lb, graph.vertex_count + 1):
-        witness = search.run(s)
-        if witness is not None:
-            return AllianceSolution(True, s, witness, search.nodes,
-                                    time.perf_counter() - start)
-    return AllianceSolution(False, None, None, search.nodes,
+    core = _alliance_core(graph, k)
+    if not graph.is_dominating(core):
+        return AllianceSolution(False, None, None, 0,
+                                time.perf_counter() - start)
+    search = _Search(graph, k, core, node_budget, deadline)
+    size, witness = core.bit_count(), core
+    for s in range(_alliance_lower_bound(graph, k, floor), size):
+        found = search.run(s)
+        if found is not None:
+            size, witness = s, found
+            break
+    return AllianceSolution(True, size, witness, search.nodes,
                             time.perf_counter() - start)
+
+
+def _domination(graph: ZdGraph, node_budget: Optional[int],
+                deadline: Optional[float]) -> AllianceSolution:
+    """Minimum dominating set: at k = -max_degree every dominating set is a
+    global defensive k-alliance."""
+    return _solve_with_gamma(graph, -graph.max_degree, 1, node_budget,
+                             deadline)
+
+
+def domination_number(graph: ZdGraph, *, node_budget: Optional[int] = None,
+                      time_budget: Optional[float] = None) -> tuple[int, int]:
+    """Exact domination number and one minimum dominating set (bitset)."""
+    deadline = None if time_budget is None else time.monotonic() + time_budget
+    sol = _domination(graph, node_budget, deadline)
+    return sol.size, sol.witness
 
 
 def solve(problem: AllianceProblem, *, node_budget: Optional[int] = None,
@@ -258,10 +280,8 @@ def solve(problem: AllianceProblem, *, node_budget: Optional[int] = None,
     Raises :class:`BudgetExceeded` when a budget runs out before the answer
     is certain.
     """
-    graph = problem.graph
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    gamma, _, used = _domination(graph, node_budget, deadline)
-    return _solve_with_gamma(graph, problem.k, gamma, node_budget, deadline, used)
+    return _solve_with_gamma(problem.graph, problem.k, 1, node_budget, deadline)
 
 
 def oracle_solve(problem: AllianceProblem, *,
@@ -310,16 +330,14 @@ def spectrum(graph: ZdGraph, *, node_budget: Optional[int] = None,
 
     Sizes are monotone nondecreasing in k over the feasible range, and the
     range of feasible k always reaches min_degree.  Each k's rounds start
-    at the answer for k - 1; every k above the first infeasible one is
-    infeasible without a search.
+    at the answer for k - 1, and an infeasible k is decided by its
+    alliance core without a search.  ``node_budget`` counts nodes per k;
+    ``time_budget`` covers the whole spectrum.
     """
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    floor, _, used = _domination(graph, node_budget, deadline)
     out: dict[int, AllianceSolution] = {}
+    floor = 1
     for k in range(-graph.max_degree, graph.max_degree + 1):
-        if floor is None:  # k - 1 was infeasible, so k is too
-            out[k] = AllianceSolution(False, None, None, used, 0.0)
-            continue
-        out[k] = _solve_with_gamma(graph, k, floor, node_budget, deadline, used)
-        floor = out[k].size
+        out[k] = _solve_with_gamma(graph, k, floor, node_budget, deadline)
+        floor = out[k].size or floor
     return out

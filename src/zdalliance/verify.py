@@ -104,13 +104,13 @@ def parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _config_number(key: str, value: str, kind: type):
+def _number(source: str, value, kind: type):
+    """kind(value), or a ValueError that names the value's source."""
     try:
         return kind(value)
-    except ValueError:
+    except (TypeError, ValueError):
         what = "an integer" if kind is int else "a number"
-        raise ValueError(f"config key {key!r}: expected {what}, "
-                         f"got {value!r}") from None
+        raise ValueError(f"{source}: expected {what}, got {value!r}") from None
 
 
 def apply_config(cfg: SuiteConfig, options: dict[str, str]) -> SuiteConfig:
@@ -121,11 +121,11 @@ def apply_config(cfg: SuiteConfig, options: dict[str, str]) -> SuiteConfig:
         elif key == "grid":
             updates["grid"] = value
         elif key in ("max_vertices", "jobs", "oracle_max"):
-            updates[key] = _config_number(key, value, int)
+            updates[key] = _number(f"config key {key!r}", value, int)
         elif key in ("node_budget", "time_budget"):
             kind = int if key == "node_budget" else float
             updates[key] = (None if value.lower() == "none"
-                            else _config_number(key, value, kind))
+                            else _number(f"config key {key!r}", value, kind))
         elif key == "out":
             updates["out"] = value
         elif key == "format":
@@ -586,6 +586,11 @@ def records_to_dicts(records: Sequence[VerificationRecord]) -> list[dict]:
     return out
 
 
+def _row_number(index: int, row: dict, key: str, kind: type, default=None):
+    value = row[key] if default is None else row.get(key, default)
+    return _number(f"record {index}: key {key!r}", value, kind)
+
+
 def records_from_dicts(rows: Sequence[dict]) -> list[VerificationRecord]:
     """Inverse of records_to_dicts; a malformed row raises ValueError."""
     records = []
@@ -593,16 +598,17 @@ def records_from_dicts(rows: Sequence[dict]) -> list[VerificationRecord]:
         if not isinstance(row, dict):
             raise ValueError(f"record {index}: expected an object, "
                              f"got {type(row).__name__}")
+        number = partial(_row_number, index, row)
         try:
             records.append(VerificationRecord(
                 family=row["family"], params=row["params"], ring=row["ring"],
-                vertices=int(row["vertices"]), k=int(row["k"]),
+                vertices=number("vertices", int), k=number("k", int),
                 predicted_kind=row["predicted_kind"],
                 predicted_lo=row.get("predicted_lo"),
                 predicted_hi=row.get("predicted_hi"),
                 solved=row.get("solved"), status=row["status"],
-                reason=row.get("reason", ""), nodes=int(row.get("nodes", 0)),
-                millis=float(row.get("millis", 0.0))))
+                reason=row.get("reason", ""), nodes=number("nodes", int, 0),
+                millis=number("millis", float, 0.0)))
         except KeyError as exc:
             raise ValueError(f"record {index}: missing key {exc}") from None
     return records

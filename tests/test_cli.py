@@ -252,6 +252,26 @@ def test_report_row_missing_key_exit_1(capsys, tmp_path):
     assert "error: record 0: missing key 'params'" in err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("k", None, "error: record 1: key 'k': expected an integer, got None"),
+    ("vertices", "three",
+     "error: record 1: key 'vertices': expected an integer, got 'three'"),
+    ("nodes", None,
+     "error: record 1: key 'nodes': expected an integer, got None"),
+    ("millis", [1], "error: record 1: key 'millis': expected a number, got [1]"),
+])
+def test_report_row_bad_value_exit_1(capsys, tmp_path, key, value, message):
+    row = {"family": "tables", "params": "", "ring": "Z8", "vertices": 3,
+           "k": 0, "predicted_kind": "exact", "status": "MATCH"}
+    records_file = tmp_path / "records.json"
+    records_file.write_text(json.dumps([row, dict(row, **{key: value})]))
+    code, out, err = run(capsys, "report", "--in", str(records_file))
+    assert code == 1
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_report_scalar_file_exit_1(capsys, tmp_path):
     records_file = tmp_path / "records.json"
     records_file.write_text("5")

@@ -29,6 +29,8 @@ def test_single_values():
     assert solve(AllianceProblem(G("Z4"), 0)).size == 1
     sol = solve(AllianceProblem(G("Z8"), 2))
     assert not sol.feasible and sol.size is None and sol.witness is None
+    # the alliance core decides infeasibility without a search
+    assert sol.nodes == 0
 
 
 @pytest.mark.parametrize("expr", sorted(PINNED))
@@ -198,3 +200,27 @@ def test_spectrum_agrees_with_solve(expr):
         if got.feasible:
             assert got.witness.bit_count() == got.size
             assert g.is_global_defensive_alliance(got.witness, k), (expr, k)
+
+
+@given(SMALL_RINGS)
+@settings(max_examples=60, deadline=None)
+def test_solve_agrees_with_oracle_and_infeasible_needs_no_search(expr):
+    try:
+        g = G(expr)
+    except NoGraphError:
+        assume(False)
+    assume(g.vertex_count <= 12)
+    for k in range(-g.max_degree, g.max_degree + 1):
+        got = solve(AllianceProblem(g, k))
+        want = oracle_solve(AllianceProblem(g, k))
+        assert (got.feasible, got.size) == (want.feasible, want.size), (expr, k)
+        if not got.feasible:
+            assert got.nodes == 0, (expr, k)
+
+
+def test_spectrum_proves_infeasibility_without_search():
+    # a search that proves k = 2 infeasible by exhausting every s up to
+    # the vertex count needs over a million nodes here
+    sp = spectrum(G("Z2 x Z27"))
+    assert sum(sol.nodes for sol in sp.values()) < 10_000
+    assert all(sol.nodes == 0 for sol in sp.values() if not sol.feasible)
