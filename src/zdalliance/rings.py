@@ -3,33 +3,43 @@
 Every ring places its elements on the ids ``0 .. order-1`` with id 0 the
 additive identity.  A ring is a frozen record of its construction's own
 functions: ``ring.mul(a, b)`` calls the construction's multiplication
-directly, so memory stays linear in the order.  Four constructions are
-provided:
+directly, so memory stays linear in the order.  Each construction also
+decides its own units (``ring.is_unit``); every element of a finite
+commutative ring is a unit or a zero divisor, so the interrogations below
+read units and zero divisors off ``is_unit`` without multiplying.  Four
+constructions are provided:
 
-* ``make_zn(n)``        -- residues modulo ``n``; id i is the residue i.
+* ``make_zn(n)``        -- residues modulo ``n``; id i is the residue i,
+                           a unit iff gcd(i, n) = 1.
 * ``make_gf(p, k)``     -- the field of order p**k, as polynomials modulo
                            the lexicographically smallest monic irreducible
                            of degree k (ids encode coefficients base p, so
-                           id 1 is the constant polynomial 1).
+                           id 1 is the constant polynomial 1); every
+                           nonzero element is a unit.
 * ``make_product(fs)``  -- componentwise arithmetic; ids are the mixed-radix
                            encoding of component ids, first factor most
                            significant.  The multiplicative identity of a
-                           product is ``ring.one``, which is not id 1.
+                           product is ``ring.one``, which is not id 1.  An
+                           element is a unit iff every component is.
 * ``make_idealization(R, r)`` -- R (+) R**r with (a,n)(b,m) = (ab, am+bn);
                            the module part squares to zero.  Ids place the
-                           base component least significant, so id 1 is the
-                           identity (1, 0).
+                           base component least significant, so the
+                           identity (1, 0) has the id ``R.one``.  (a, n) is
+                           a unit iff a is, with inverse (a^-1, -a^-2 n).
 
 Constructions are pure and deterministic: the same parameters always yield
 the same element encoding, which downstream layers rely on for stable
 vertex orders and reports.  All constructors enforce an order cap (default
-4096) and fail fast above it.
+4096) and check it before an order is built, so a term far above the cap
+fails at once with a ``CapacityError`` that names the term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from itertools import repeat
+from math import gcd
+from typing import Callable, Iterable, Optional, Sequence
 
 DEFAULT_ORDER_CAP = 4096
 
@@ -45,20 +55,26 @@ def _resolve_cap(order_cap: Optional[int]) -> int:
     return cap
 
 
-def _check_cap(order: int, order_cap: Optional[int], what: str) -> None:
+def _capped_order(sizes: Iterable[int], order_cap: Optional[int],
+                  what: str) -> int:
+    """The product of ``sizes`` (each >= 2), raising once it passes the cap."""
     cap = _resolve_cap(order_cap)
-    if order > cap:
-        raise CapacityError(f"{what} has order {order}, above the cap {cap}")
+    order = 1
+    for size in sizes:
+        order *= size
+        if order > cap:
+            raise CapacityError(f"{what} exceeds the order cap {cap}")
+    return order
 
 
 @dataclass(frozen=True, eq=False, slots=True)
 class FiniteRing:
     """Immutable finite commutative ring with identity.
 
-    ``add``/``mul``/``neg`` are total over ``0 <= id < order``.  ``one`` is
-    the id of the multiplicative identity (1 except for direct products,
-    whose encoding is fixed by the mixed-radix contract).  Equality and
-    hashing are by identity.
+    ``add``/``mul``/``neg``/``is_unit`` are total over ``0 <= id < order``.
+    ``one`` is the id of the multiplicative identity (1 except for direct
+    products and idealizations over them, whose encoding is fixed by the
+    mixed-radix contract).  Equality and hashing are by identity.
     """
 
     order: int
@@ -67,6 +83,7 @@ class FiniteRing:
     neg: Callable[[int], int]
     one: int
     label: str
+    is_unit: Callable[[int], bool]
     element_label: Callable[[int], str] = str
 
     def sub(self, a: int, b: int) -> int:
@@ -88,7 +105,7 @@ def make_zn(n: int, order_cap: Optional[int] = None) -> FiniteRing:
     """Residue ring Z_n on ids 0..n-1."""
     if n < 2:
         raise ValueError(f"Z_n needs n >= 2, got {n}")
-    _check_cap(n, order_cap, f"Z{n}")
+    _capped_order((n,), order_cap, f"Z{n}")
     return FiniteRing(
         n,
         add=lambda a, b: (a + b) % n,
@@ -96,6 +113,7 @@ def make_zn(n: int, order_cap: Optional[int] = None) -> FiniteRing:
         neg=lambda a: (-a) % n,
         one=1,
         label=f"Z{n}",
+        is_unit=lambda a: gcd(a, n) == 1,
     )
 
 
@@ -165,8 +183,7 @@ def make_gf(p: int, k: int = 1, order_cap: Optional[int] = None) -> FiniteRing:
         raise ValueError(f"GF needs a prime characteristic, got {p}")
     if k < 1:
         raise ValueError(f"GF needs extension degree >= 1, got {k}")
-    q = p ** k
-    _check_cap(q, order_cap, f"GF({q})")
+    q = _capped_order(repeat(p, k), order_cap, f"GF({p}, {k})")
     if k == 1:
         return replace(make_zn(p, order_cap), label=f"GF({p})")
 
@@ -205,7 +222,7 @@ def make_gf(p: int, k: int = 1, order_cap: Optional[int] = None) -> FiniteRing:
             v = v * p + conv[i]
         return v
 
-    return FiniteRing(q, add, mul, neg, 1, f"GF({q})")
+    return FiniteRing(q, add, mul, neg, 1, f"GF({q})", lambda a: a != 0)
 
 
 def make_product(factors: Sequence[FiniteRing],
@@ -214,12 +231,13 @@ def make_product(factors: Sequence[FiniteRing],
     factors = tuple(factors)
     if len(factors) < 2:
         raise ValueError("a product needs at least 2 factors")
-    order = 1
-    for f in factors:
-        order *= f.order
-    _check_cap(order, order_cap, "product")
 
+    def factor_label(f: FiniteRing) -> str:
+        return f"({f.label})" if " x " in f.label else f.label
+
+    label = " x ".join(factor_label(f) for f in factors)
     orders = tuple(f.order for f in factors)
+    order = _capped_order(orders, order_cap, label)
 
     def split(a: int) -> list[int]:
         comps = []
@@ -244,16 +262,15 @@ def make_product(factors: Sequence[FiniteRing],
     def neg(a: int) -> int:
         return join([f.neg(x) for f, x in zip(factors, split(a))])
 
+    def is_unit(a: int) -> bool:
+        return all(f.is_unit(x) for f, x in zip(factors, split(a)))
+
     def element_label(a: int) -> str:
         parts = [f.element_label(x) for f, x in zip(factors, split(a))]
         return "(" + ",".join(parts) + ")"
 
-    def factor_label(f: FiniteRing) -> str:
-        return f"({f.label})" if " x " in f.label else f.label
-
     one = join([f.one for f in factors])
-    label = " x ".join(factor_label(f) for f in factors)
-    return FiniteRing(order, add, mul, neg, one, label, element_label)
+    return FiniteRing(order, add, mul, neg, one, label, is_unit, element_label)
 
 
 def make_idealization(base: FiniteRing, rank: int = 1,
@@ -262,8 +279,8 @@ def make_idealization(base: FiniteRing, rank: int = 1,
     if rank < 1:
         raise ValueError(f"idealization rank must be >= 1, got {rank}")
     o = base.order
-    order = o ** (rank + 1)
-    _check_cap(order, order_cap, "idealization")
+    label = f"Id({base.label}, {rank})"
+    order = _capped_order(repeat(o, rank + 1), order_cap, label)
 
     def split(x: int) -> tuple[int, list[int]]:
         a = x % o
@@ -301,8 +318,8 @@ def make_idealization(base: FiniteRing, rank: int = 1,
         mods = ",".join(base.element_label(u) for u in n)
         return f"({base.element_label(a)}; {mods})"
 
-    label = f"Id({base.label}, {rank})"
-    return FiniteRing(order, add, mul, neg, 1, label, element_label)
+    return FiniteRing(order, add, mul, neg, base.one, label,
+                      lambda x: base.is_unit(x % o), element_label)
 
 
 # ---------------------------------------------------------------------------
@@ -310,29 +327,13 @@ def make_idealization(base: FiniteRing, rank: int = 1,
 
 
 def zero_divisors(ring: FiniteRing) -> frozenset[int]:
-    """All x with xy = 0 for some y != 0, plus 0 itself.
+    """All x with xy = 0 for some y != 0, plus 0 itself: the non-units.
 
     Every element of a finite commutative ring is a unit or a zero divisor,
-    so the scan of x stops at the first y with xy = 0 or xy = 1; in the
-    second case x is a unit, and so is y, which is then not scanned.
+    so this reads ``ring.is_unit`` and multiplies nothing.
     """
-    n = ring.order
-    mul = ring.mul
-    one = ring.one
-    out = {0}
-    known_units = set()
-    for x in range(1, n):
-        if x in known_units:
-            continue
-        for y in range(1, n):
-            xy = mul(x, y)
-            if xy == 0:
-                out.add(x)
-                break
-            if xy == one:
-                known_units.add(y)
-                break
-    return frozenset(out)
+    is_unit = ring.is_unit
+    return frozenset(x for x in range(ring.order) if not is_unit(x))
 
 
 def annihilator(ring: FiniteRing, x: int) -> frozenset[int]:
@@ -344,19 +345,19 @@ def annihilator(ring: FiniteRing, x: int) -> frozenset[int]:
 
 
 def units(ring: FiniteRing) -> frozenset[int]:
-    """All invertible elements."""
-    one = ring.one
-    mul = ring.mul
-    n = ring.order
-    return frozenset(x for x in range(n)
-                     if any(mul(x, y) == one for y in range(n)))
+    """All invertible elements, as decided by ``ring.is_unit``."""
+    is_unit = ring.is_unit
+    return frozenset(x for x in range(ring.order) if is_unit(x))
 
 
 def nilradical(ring: FiniteRing) -> frozenset[int]:
-    """All nilpotent elements, by iterated powering (exponent capped)."""
+    """All nilpotent elements, by iterated powering of the zero divisors.
+
+    A unit is never nilpotent, so only the zero divisors are powered.
+    """
     out = set()
     mul = ring.mul
-    for x in range(ring.order):
+    for x in zero_divisors(ring):
         y = x
         seen = set()
         for _ in range(ring.order):
@@ -398,17 +399,15 @@ def _additive_closure(ring: FiniteRing, seed: set[int]) -> frozenset[int]:
 def local_structure(ring: FiniteRing) -> Optional[LocalStructure]:
     """Maximal ideal and nilpotency index when the ring is local, else None.
 
-    A finite commutative ring is local exactly when its zero-divisors are
-    additively closed (every element is a unit or a zero-divisor, so the
-    zero-divisors then form the unique maximal ideal).
+    A ring is local exactly when 1 - a is a unit for every non-unit a; the
+    non-units (the zero divisors, in a finite ring) then form the unique
+    maximal ideal.  That test costs one ``sub`` per zero divisor and no
+    ``mul``; only the nilpotency index of a local ring multiplies.
     """
-    zd = zero_divisors(ring)
-    add = ring.add
-    for a in zd:
-        for b in zd:
-            if add(a, b) not in zd:
-                return None
-    m = zd
+    m = zero_divisors(ring)
+    one, sub, is_unit = ring.one, ring.sub, ring.is_unit
+    if not all(is_unit(sub(one, a)) for a in m):
+        return None
     zero_only = frozenset({0})
     if m == zero_only:
         return LocalStructure(m, 1)

@@ -17,7 +17,19 @@ from ring_axioms import verify_ring_axioms
 AXIOM_CORPUS = ["Z2", "Z12", "Z16", "GF(4)", "GF(8)", "GF(9)", "GF(25)",
                 "Z2 x Z4", "Z3 x GF(4)", "Z2 x Z2 x Z3", "Id(Z2, 1)",
                 "Id(Z3, 1)", "Id(Z2, 2)", "Id(Z5, 1)", "Id(GF(4), 1)",
-                "Z2 x Id(Z3, 1)", "Z243"]
+                "Z2 x Id(Z3, 1)", "Z243", "Id(Z2 x Z2, 1)", "Id(Z2 x Z3, 1)"]
+
+
+def _brute_units(ring):
+    # the definition, by brute force: x is a unit iff xy = 1 for some y
+    return {x for x in range(ring.order)
+            if any(ring.mul(x, y) == ring.one for y in range(ring.order))}
+
+
+def _brute_zero_divisors(ring):
+    # the definition, by brute force: x = 0, or xy = 0 for some y != 0
+    return {x for x in range(ring.order)
+            if x == 0 or any(ring.mul(x, y) == 0 for y in range(1, ring.order))}
 
 
 def test_zn_basics():
@@ -162,9 +174,10 @@ def test_ring_axioms(expr):
                                   "Id(Z7, 1)", "Id(Z2, 3)"])
 def test_unit_zero_divisor_dichotomy(expr):
     r = build_ring(expr)
-    us, zds = units(r), zero_divisors(r)
+    us, zds = _brute_units(r), _brute_zero_divisors(r)
     assert us & zds == set()
     assert us | zds == set(range(r.order))
+    assert units(r) == us and zero_divisors(r) == zds
 
 
 def _is_ideal(ring, subset):
@@ -184,7 +197,7 @@ def _is_ideal(ring, subset):
 def test_local_against_nonunit_ideal_oracle(expr):
     # R is local iff its nonunits form an ideal; cross-check by brute force
     r = build_ring(expr)
-    nonunits = set(range(r.order)) - units(r)
+    nonunits = set(range(r.order)) - _brute_units(r)
     struct = local_structure(r)
     if _is_ideal(r, nonunits):
         assert struct is not None
@@ -237,6 +250,10 @@ def test_order_cap():
     make_zn(100, order_cap=100)
     with pytest.raises(CapacityError):
         build_ring("Z70 x Z70")
+    # caps are checked before the order is built, so huge terms fail at once
+    for expr in ("GF(2, 100000)", "Id(Z3, 100000)", "GF(3, 30000000)"):
+        with pytest.raises(CapacityError, match="exceeds the order cap"):
+            build_ring(expr)
 
 
 def test_is_prime():
@@ -258,11 +275,84 @@ def test_zn_arithmetic_properties(n, data):
     assert r.add(a, r.neg(a)) == 0
 
 
-@given(st.sampled_from(AXIOM_CORPUS), st.data())
-@settings(max_examples=80, deadline=None)
-def test_dichotomy_property(expr, data):
+_MAX_ORDER = 128
+# (text, order) of every Zn and GF(q) term of order at most 64
+_ATOMS = tuple([(f"Z{n}", n) for n in range(2, 65)]
+               + [(f"GF({p ** k})", p ** k) for p in range(2, 65) if is_prime(p)
+                  for k in range(1, 7) if p ** k <= 64])
+
+
+def _atom_expr(draw, budget):
+    return draw(st.sampled_from([a for a in _ATOMS if a[1] <= budget]))
+
+
+def _product_expr(draw, budget):
+    """2-3 atoms whose orders multiply to at most ``budget`` (>= 4)."""
+    first, order = _atom_expr(draw, budget // 2)
+    texts = [first]
+    while len(texts) < 3 and budget // order >= 2 and (
+            len(texts) < 2 or draw(st.booleans())):
+        text, size = _atom_expr(draw, budget // order)
+        texts.append(text)
+        order *= size
+    return " x ".join(texts)
+
+
+@st.composite
+def ring_exprs(draw):
+    """Zn, GF(q), products of 2-3 of those, and Id(base, 1-2) over any of them."""
+    kind = draw(st.sampled_from(["atom", "product", "id"]))
+    if kind == "atom":
+        return _atom_expr(draw, _MAX_ORDER)[0]
+    if kind == "product":
+        return _product_expr(draw, _MAX_ORDER)
+    rank = draw(st.integers(1, 2))
+    room = max(b for b in range(2, _MAX_ORDER) if b ** (rank + 1) <= _MAX_ORDER)
+    if room >= 4 and draw(st.booleans()):
+        base = _product_expr(draw, room)
+    else:
+        base = _atom_expr(draw, room)[0]
+    return f"Id({base}, {rank})"
+
+
+@given(ring_exprs())
+@settings(max_examples=40, deadline=None)
+def test_dichotomy_property(expr):
+    # every construction's own is_unit agrees with the definitions
     r = build_ring(expr)
-    x = data.draw(st.integers(0, r.order - 1))
-    has_inverse = any(r.mul(x, y) == r.one for y in range(r.order))
-    kills = any(r.mul(x, y) == 0 for y in range(1, r.order))
-    assert has_inverse != (kills or r.order == 1)
+    assert r.order <= _MAX_ORDER
+    zds = zero_divisors(r)
+    nonunits = set()
+    for x in range(r.order):
+        products = [r.mul(x, y) for y in range(r.order)]
+        if r.one not in products:
+            nonunits.add(x)
+        assert r.is_unit(x) == (x not in nonunits)
+        assert (x in zds) == (x == 0 or 0 in products[1:])
+        assert r.mul(r.one, x) == x
+    closed = all(r.add(a, b) in nonunits for a in nonunits for b in nonunits)
+    assert (local_structure(r) is not None) == closed
+
+
+def _counting_mul(ring):
+    calls = [0]
+
+    def mul(a, b):
+        calls[0] += 1
+        return ring.mul(a, b)
+
+    return dataclasses.replace(ring, mul=mul), calls
+
+
+@pytest.mark.parametrize("expr", AXIOM_CORPUS)
+def test_units_and_zero_divisors_multiply_nothing(expr):
+    counted, calls = _counting_mul(build_ring(expr))
+    assert len(zero_divisors(counted)) + len(units(counted)) == counted.order
+    assert calls[0] == 0
+
+
+@pytest.mark.parametrize("expr", ["Z2 x Z4", "Z6"])
+def test_non_local_ring_multiplies_nothing(expr):
+    counted, calls = _counting_mul(build_ring(expr))
+    assert local_structure(counted) is None
+    assert calls[0] == 0
