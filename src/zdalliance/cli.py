@@ -166,6 +166,9 @@ def cmd_spectrum(args) -> int:
     try:
         spect = spectrum(graph, node_budget=args.budget)
     except BudgetExceeded as exc:
+        if args.json:
+            print(json.dumps({"ring": graph.ring_label, "status": "UNKNOWN",
+                              "reason": str(exc)}))
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
     rows = [{"k": k, "feasible": sol.feasible, "size": sol.size}

@@ -4,34 +4,53 @@ A member's condition 2·deg_S(x) ≥ deg(x) + k only gets easier as S grows,
 so the union of all defensive k-alliances is itself one: the largest,
 called the *core* here (see Fernau & Rodríguez-Velázquez, "A survey on
 alliances and related parameters in graphs", EJGTA 2, 2014).
-``_alliance_core`` finds it by repeatedly dropping
-every vertex that fails the condition against the vertices left.  A global
-defensive k-alliance exists iff the core dominates the graph, so an
-infeasible k is decided by that one fixpoint, with no search.
+``_alliance_core`` finds it by repeatedly dropping every vertex that fails
+the condition against the vertices left.  A global defensive k-alliance
+exists iff the core dominates the graph, so an infeasible k is decided by
+that one fixpoint, with no search.
+
+Twins (``ZdGraph.twin_classes``) can be swapped by a graph automorphism, so
+whether a set is a global defensive k-alliance depends only on the count
+c_i it takes from each twin class i.  The core is a union of classes, and
+the fixpoint and the core's domination test look at one member per class.
+For a member x of class i, deg_S(x) = Σ_{j ∈ nb(i)} c_j - [i is a clique],
+where nb(i) holds the neighbor classes and a clique class (true twins) is
+its own neighbor.
 
 Otherwise ``solve`` runs iterative deepening on the target cardinality s
-over the core's vertices only, since every alliance lies inside the core.
+over the core's classes only, since every alliance lies inside the core.
 Starting from the analytic lower bounds it performs, for each s, a
-depth-first branch-and-bound over subsets of the core in a fixed branching
-order (degree descending, ties by ascending element id).  The search runs
-on an explicit stack, so its depth does not touch the interpreter's
-recursion limit; the include branch of a vertex is explored before the
-exclude branch.  A partial set is pruned when
+depth-first branch-and-bound in a fixed class order (degree descending,
+ties by lowest vertex).  A node decides the next class: its children take
+c = min(n_i, b), ..., 0 of its n_i members, largest first, where b is the
+number of picks left, and the set keeps the first c members of each
+class, which is also how a witness is read off.  On a graph whose classes
+are all singletons this is the include-first vertex search.  The search
+runs on an explicit stack, so its depth does not touch the interpreter's
+recursion limit.  A partial set is pruned when
 
-* some chosen vertex's deficit deg_S(x) - deg_S̄(x) - k cannot be repaired
-  even if every remaining pick were one of its undecided neighbors,
-* some undominated vertex has no undecided vertex left that could cover it,
-* the vertices forced as unique covers of undominated vertices exceed the
-  remaining budget, or a greedy bound on closed-neighborhood coverage shows
-  the undominated vertices cannot all be covered,
-* fewer undecided vertices remain than the budget requires.
+* fewer undecided members remain than the budget requires,
+* some chosen class's residual need r_x = ⌈(deg x + k)/2⌉ - deg_S(x)
+  exceeds the budget or its undecided neighbors,
+* some undominated class has no undecided class left that could cover it,
+* the picks forced by undominated classes with a single possible cover
+  exceed the budget (all n_u of an independent class u that only covers
+  itself, otherwise one), or a greedy bound on closed-neighborhood
+  coverage shows the undominated vertices cannot all be covered,
+* the disjoint demands exceed the budget: a chosen class with r_x > 0
+  demands r_x picks from its undecided neighbor classes, an undominated
+  class one pick from its possible covers (n_u when it alone can cover
+  itself and is independent); demands taken largest first whose option
+  sets are pairwise disjoint need separate picks.
 
-The first feasible set found at the smallest s is optimal because every
-smaller cardinality was exhausted; the deepening stops below s = |core|,
-because the core itself is the only candidate of that size and a witness.  Node/time budgets, when
-given, raise :class:`BudgetExceeded` instead of returning a wrong answer.
-At k = -max_degree every dominating set qualifies, so the domination
-number is that k's answer.
+A node is one partial count vector taken off the stack; ``nodes`` and the
+node budget count them.  The first feasible set found at the smallest s
+is optimal because every smaller cardinality was exhausted; the deepening
+stops below s = |core|, because the core itself is the only candidate of
+that size and a witness.  Node/time budgets, when given, raise
+:class:`BudgetExceeded` instead of returning a wrong answer.  At
+k = -max_degree every dominating set qualifies, so the domination number
+is that k's answer.
 
 ``spectrum`` is the one entry point for many values of k.  It uses the
 exact monotonicity of the problem: a global defensive (k+1)-alliance is
@@ -88,25 +107,50 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 class _Search:
-    """Depth-first cardinality-s rounds over the vertices of ``pool``;
-    shared across s for one solve."""
+    """Depth-first cardinality-s rounds over the twin classes of ``core``;
+    shared across s for one solve.
 
-    def __init__(self, graph: ZdGraph, k: int, pool: int,
+    The class tables are indexed by position in ``graph.twin_classes``.
+    The chosen set is also kept as a vertex bitset (the first c members
+    of each decided class), so deg_S of a class and the coverage of an
+    undecided class are each one popcount against the neighborhood of the
+    class's lowest member, its representative."""
+
+    def __init__(self, graph: ZdGraph, k: int, core: int,
                  node_budget: Optional[int], deadline: Optional[float]):
-        self.k = k
         self.node_budget = node_budget
         self.deadline = deadline
         self.nodes = 0
         self.full = graph.full_mask
-        self.adj = graph.adj
-        self.closed = graph.closed
-        self.deg = graph.degree
-        order = sorted(bits(pool), key=lambda v: (-graph.degree[v], v))
+        classes = graph.twin_classes
+        self.classes = classes
+        reps = [(c & -c).bit_length() - 1 for c in classes]
+        adj = graph.adj
+        self.rep_adj = [adj[v] for v in reps]
+        self.rep_closed = [graph.closed[v] for v in reps]
+        self.size = [c.bit_count() for c in classes]
+        # the neighbors a member needs inside the set: ⌈(deg + k)/2⌉
+        self.need = [_ceil_div(graph.degree[v] + k, 2) for v in reps]
+        # neighbour-class masks, with a clique class's own bit set
+        self.nb = [sum(1 << j for j, c in enumerate(classes) if a & c)
+                   for a in self.rep_adj]
+        self.clique = [(nb >> i) & 1 for i, nb in enumerate(self.nb)]
+        self.all_classes = (1 << len(classes)) - 1
+        order = sorted((i for i, c in enumerate(classes) if c & core),
+                       key=lambda i: (-graph.degree[reps[i]], reps[i]))
         self.order = order
-        suffix = [0] * (len(order) + 1)
+        # undecided classes from each position on: as a class mask, as a
+        # vertex bitset, and as a member count
+        npos = len(order) + 1
+        self.undecided = [0] * npos
+        self.rem = [0] * npos
+        self.rem_size = [0] * npos
         for pos in range(len(order) - 1, -1, -1):
-            suffix[pos] = suffix[pos + 1] | (1 << order[pos])
-        self.suffix = suffix
+            i = order[pos]
+            self.undecided[pos] = self.undecided[pos + 1] | (1 << i)
+            self.rem[pos] = self.rem[pos + 1] | classes[i]
+            self.rem_size[pos] = self.rem_size[pos + 1] + self.size[i]
+        self.members = [tuple(bits(c)) for c in classes]
 
     def _tick(self) -> None:
         self.nodes += 1
@@ -116,108 +160,167 @@ class _Search:
                 and time.monotonic() > self.deadline:
             raise BudgetExceeded("time budget exhausted")
 
-    def _final_ok(self, s_mask: int) -> bool:
-        k = self.k
-        adj = self.adj
-        deg = self.deg
-        for v in bits(s_mask):
-            if 2 * (adj[v] & s_mask).bit_count() < deg[v] + k:
+    def _final_ok(self, s_mask: int, chosen: int) -> bool:
+        rep_adj, need = self.rep_adj, self.need
+        for x in bits(chosen):
+            if (rep_adj[x] & s_mask).bit_count() < need[x]:
                 return False
         return True
 
     def run(self, s: int) -> Optional[int]:
         """Depth-first search for a cardinality-s set on an explicit stack of
-        (position, chosen, covered, count) entries; the include child is
-        pushed last, so it is explored first."""
+        (position, chosen vertices, covered vertices, chosen classes, covered
+        classes, count) entries; the children of a class take c = min(n, b),
+        ..., 0 of its n members and are pushed smallest first, so the
+        largest count is explored first."""
         # the in-search clock is only polled every 1024 nodes; small
         # searches still have to notice an already-expired deadline
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceeded("time budget exhausted")
-        order, closed, full = self.order, self.closed, self.full
-        stack = [(0, 0, 0, 0)]
+        all_classes = self.all_classes
+        stack = [(0, 0, 0, 0, 0, 0)]
         while stack:
-            pos, s_mask, cov, count = stack.pop()
+            pos, s_mask, cov, chosen, ccov, count = stack.pop()
             self._tick()
             b = s - count
             if b == 0:
-                if cov == full and self._final_ok(s_mask):
+                if ccov == all_classes and self._final_ok(s_mask, chosen):
                     return s_mask
                 continue
-            if self._pruned(pos, s_mask, cov, b):
+            if self._pruned(pos, s_mask, cov, chosen, ccov, b):
                 continue
-            v = order[pos]
-            stack.append((pos + 1, s_mask, cov, count))
-            stack.append((pos + 1, s_mask | (1 << v), cov | closed[v],
-                          count + 1))
+            i = self.order[pos]
+            n = self.size[i]
+            stack.append((pos + 1, s_mask, cov, chosen, ccov, count))
+            members = self.members[i]
+            cls = self.classes[i]
+            bit = 1 << i
+            child_cov = cov | self.rep_adj[i]
+            child_ccov = ccov | self.nb[i]
+            for c in range(1, (n if n < b else b) + 1):
+                if c == n:
+                    take = cls
+                    child_ccov |= bit
+                else:
+                    take = cls & ((2 << members[c - 1]) - 1)
+                stack.append((pos + 1, s_mask | take, child_cov | take,
+                              chosen | bit, child_ccov, count + c))
         return None
 
-    def _pruned(self, pos: int, s_mask: int, cov: int, b: int) -> bool:
-        """True when no completion with b more picks from position pos on
-        can be a solution."""
-        rem = self.suffix[pos]
-        if rem.bit_count() < b:
+    def _pruned(self, pos: int, s_mask: int, cov: int, chosen: int,
+                ccov: int, b: int) -> bool:
+        """True when no completion with b more picks from the classes at
+        position pos on can be a solution."""
+        if self.rem_size[pos] < b:
             return True
-
-        k = self.k
-        adj = self.adj
-        m = s_mask
+        rem = self.rem[pos]
+        undecided = self.undecided[pos]
+        rep_adj, need, nb = self.rep_adj, self.need, self.nb
+        # (picks, option classes): disjoint options need separate picks
+        demands = []
+        m = chosen
         while m:
             low = m & -m
             m ^= low
             x = low.bit_length() - 1
-            a = adj[x]
-            rem_n = (a & rem).bit_count()
-            gain = b if b < rem_n else rem_n
-            if 2 * ((a & s_mask).bit_count() + gain) - self.deg[x] < k:
-                return True
+            a = rep_adj[x]
+            r = need[x] - (a & s_mask).bit_count()
+            if r > 0:
+                if r > b or r > (a & rem).bit_count():
+                    return True
+                demands.append((r, nb[x] & undecided))
 
-        und = self.full & ~cov
+        und = self.all_classes & ~ccov
         if und:
-            # members sit inside their own closed neighborhoods, so every
-            # undominated vertex must still be coverable from the undecided
-            # pool; a vertex whose only possible cover is a single undecided
-            # pick forces that pick
-            closed = self.closed
-            forced = 0
+            # every undominated class must still be coverable from the
+            # undecided classes; a class whose only possible cover is one
+            # class forces a pick there, all of itself when it is an
+            # independent class covering itself
+            size, clique = self.size, self.clique
+            forced = whole = 0
             m = und
             while m:
                 low = m & -m
                 m ^= low
                 u = low.bit_length() - 1
-                c = closed[u] & rem
-                if c == 0:
+                opts = (nb[u] | low) & undecided
+                if opts == 0:
                     return True
-                if c & (c - 1) == 0:
-                    forced |= c
-            if forced.bit_count() > b:
+                r = 1
+                if opts & (opts - 1) == 0:
+                    if opts == low and not clique[u]:
+                        whole |= low
+                        r = size[u]
+                    else:
+                        forced |= opts
+                demands.append((r, opts))
+            cost = (forced & ~whole).bit_count()
+            for u in bits(whole):
+                cost += size[u]
+            if cost > b:
                 return True
-            need = und.bit_count()
+            # greedy cover bound: a first member of class j covers its
+            # closed neighborhood, each further one at most itself
+            unc = self.full & ~cov
+            rep_closed = self.rep_closed
             covs = []
-            m = rem
+            extra = 0
+            m = undecided
             while m:
                 low = m & -m
                 m ^= low
-                w = low.bit_length() - 1
-                covs.append((closed[w] & und).bit_count())
+                j = low.bit_length() - 1
+                gain = (rep_closed[j] & unc).bit_count()
+                if gain:
+                    covs.append(gain)
+                    if und & low and not clique[j]:
+                        extra += size[j] - 1
             covs.sort(reverse=True)
-            if sum(covs[:b]) < need:
+            bound = sum(covs[:b])
+            if b > len(covs):
+                bound += min(b - len(covs), extra)
+            if bound < unc.bit_count():
                 return True
+
+        if len(demands) > 1:
+            demands.sort(reverse=True)
+            used = total = 0
+            for r, opts in demands:
+                if not opts & used:
+                    used |= opts
+                    total += r
+                    if total > b:
+                        return True
         return False
 
 
 def _alliance_core(graph: ZdGraph, k: int) -> int:
-    """The largest defensive k-alliance as a bitset, 0 when there is none."""
+    """The largest defensive k-alliance as a vertex bitset, 0 when there is
+    none.  Twins stay or go together, so each pass tests one member of
+    every twin class."""
     adj = graph.adj
     deg = graph.degree
     core = graph.full_mask
     while True:
         drop = 0
-        for v in bits(core):
-            if 2 * (adj[v] & core).bit_count() < deg[v] + k:
-                drop |= 1 << v
+        for cls in graph.twin_classes:
+            if cls & core:
+                v = (cls & -cls).bit_length() - 1
+                if 2 * (adj[v] & core).bit_count() < deg[v] + k:
+                    drop |= cls
         if not drop:
             return core
         core &= ~drop
+
+
+def _dominates(graph: ZdGraph, core: int) -> bool:
+    """Whether a union of twin classes dominates: a class outside it needs
+    a neighbor inside, which one member shows for the whole class."""
+    adj = graph.adj
+    for cls in graph.twin_classes:
+        if not cls & core and not adj[(cls & -cls).bit_length() - 1] & core:
+            return False
+    return True
 
 
 def _alliance_lower_bound(graph: ZdGraph, k: int, floor: int) -> int:
@@ -243,7 +346,7 @@ def _solve_with_gamma(graph: ZdGraph, k: int, floor: int,
     dominate is infeasible, with 0 nodes."""
     start = time.perf_counter()
     core = _alliance_core(graph, k)
-    if not graph.is_dominating(core):
+    if not _dominates(graph, core):
         return AllianceSolution(False, None, None, 0,
                                 time.perf_counter() - start)
     search = _Search(graph, k, core, node_budget, deadline)

@@ -183,6 +183,24 @@ def test_spectrum_json(capsys):
     assert any(not row["feasible"] for row in payload["spectrum"])
 
 
+def test_spectrum_budget_exhausted_json(capsys):
+    code, out, err = run(capsys, "spectrum", "Z2 x Z4 x Z4", "--budget", "5",
+                         "--json")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["ring"] == "Z2 x Z4 x Z4"
+    assert payload["status"] == "UNKNOWN"
+    assert "budget" in payload["reason"]
+    assert "budget" in err
+
+
+def test_spectrum_budget_exhausted_text(capsys):
+    code, out, err = run(capsys, "spectrum", "Z2 x Z4 x Z4", "--budget", "5")
+    assert code == 3
+    assert out == ""
+    assert "budget exhausted" in err
+
+
 def test_verify_summary_and_report(capsys, tmp_path):
     out_file = tmp_path / "tables.csv"
     code, out, _ = run(capsys, "verify", "tables", "--out", str(out_file))

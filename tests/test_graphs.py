@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zdalliance import (CapacityError, NoGraphError, bits, build_graph,
-                        build_ring)
+from zdalliance import (CapacityError, NoGraphError, annihilator, bits,
+                        build_graph, build_ring)
+from zdalliance.verify import KNOWN_GRAPH_CORPUS
 
 
 def G(expr):
@@ -191,3 +192,50 @@ def test_alliance_predicate_matches_definition(expr, data):
     want = all(2 * g.deg_within(mask, v) >= g.degree[v] + k
                for v in bits(mask))
     assert g.is_defensive_alliance(mask, k) == want
+
+
+# the rings of the perfbench ladder up to Z1024 and of its spectrum
+# workload, and rings with both kinds of nontrivial twin class
+TWIN_RINGS = (
+    "Z30", "Z2 x Z9", "Z64", "Z2 x GF(4) x Z5", "Z210", "Z1024",
+    "Z2 x Z27", "Z2 x Z2 x Z2 x Z2 x Z2", "Z2 x Z4 x Z4", "Z60",
+    "Z23 x Z29", "Id(Z2 x Z2, 1)", "Id(Z4, 1)", "Z4 x Z4", "Z2 x Z2 x Z4",
+)
+
+
+@pytest.mark.parametrize("expr", sorted(set(KNOWN_GRAPH_CORPUS + TWIN_RINGS)))
+def test_twin_classes_are_annihilator_classes(expr):
+    ring = build_ring(expr)
+    g = build_graph(ring)
+    by_ann = {}
+    for v, e in enumerate(g.element_ids):
+        key = annihilator(ring, e)
+        by_ann[key] = by_ann.get(key, 0) | (1 << v)
+    assert g.twin_classes == tuple(sorted(by_ann.values(),
+                                          key=lambda c: c & -c))
+    for cls in g.twin_classes:
+        members = list(bits(cls))
+        if len(members) > 1:
+            # all false twins (an independent set) or all true twins (a clique)
+            same = {g.adj[v] for v in members}, {g.closed[v] for v in members}
+            assert 1 in (len(same[0]), len(same[1])), (expr, members)
+
+
+@pytest.mark.parametrize("expr, count", [
+    ("Z210", 14), ("Z1024", 9), ("Z4096", 11), ("Z60", 10),
+    ("Z2 x Z2 x Z2 x Z2 x Z2", 30), ("Z23 x Z29", 2)])
+def test_twin_class_counts(expr, count):
+    assert len(G(expr).twin_classes) == count
+
+
+def test_twin_classes_of_both_kinds():
+    # Z8: 2 and 6 share the neighborhood {4} and are not adjacent
+    assert G("Z8").twin_classes == (0b101, 0b010)
+    # Id(Z3, 1) is K2: its two vertices are adjacent twins
+    assert G("Id(Z3, 1)").twin_classes == (0b11,)
+    # so is Z2 x Z2, the one ring whose twins can differ in annihilator
+    ring = build_ring("Z2 x Z2")
+    g = build_graph(ring)
+    assert g.twin_classes == (0b11,)
+    assert annihilator(ring, g.element_ids[0]) != \
+        annihilator(ring, g.element_ids[1])

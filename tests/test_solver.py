@@ -8,8 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zdalliance import (AllianceProblem, BudgetExceeded, CapacityError,
-                        NoGraphError, build_graph, build_ring,
-                        domination_number, oracle_solve, solve, spectrum)
+                        NoGraphError, bits, build_graph, build_ring,
+                        domination_number, oracle_solve, solve, spectrum,
+                        zero_divisors)
+from zdalliance.verify import KNOWN_GRAPH_CORPUS
+from vertex_search import vertex_solve, vertex_spectrum
 
 PINNED = {
     "Z12": {-4: 2, -3: 2, -2: 2, -1: 3, 0: 4, 1: 5},
@@ -224,3 +227,163 @@ def test_spectrum_proves_infeasibility_without_search():
     sp = spectrum(G("Z2 x Z27"))
     assert sum(sol.nodes for sol in sp.values()) < 10_000
     assert all(sol.nodes == 0 for sol in sp.values() if not sol.feasible)
+
+
+# -- the class search against the vertex search it replaced ----------------
+
+RING_FACTORS = st.one_of(st.integers(2, 16).map(lambda n: f"Z{n}"),
+                         st.sampled_from(("GF(4)", "GF(8)", "GF(9)")))
+RING_EXPRS = st.one_of(
+    st.integers(4, 130).map(lambda n: f"Z{n}"),
+    st.lists(RING_FACTORS, min_size=2, max_size=3).map(" x ".join),
+    st.tuples(st.sampled_from(("Z2", "Z3", "Z4", "Z5", "GF(4)", "Z2 x Z2",
+                               "Z2 x Z3")), st.integers(1, 2))
+      .map(lambda t: f"Id({t[0]}, {t[1]})"),
+)
+REFERENCE_NODE_BUDGET = 5000
+# the rings of the perfbench spectrum workload
+SPECTRUM_RINGS = ("Z64", "Z2 x Z27", "Z2 x Z2 x Z2 x Z2 x Z2", "Z2 x Z4 x Z4",
+                  "Z60")
+
+
+def _graph_or_reject(expr, max_vertices):
+    try:
+        ring = build_ring(expr)
+    except CapacityError:
+        assume(False)
+    # reject before the O(|Z|^2) graph build
+    assume(1 < len(zero_divisors(ring)) <= max_vertices + 1)
+    return build_graph(ring)
+
+
+@given(RING_EXPRS)
+@settings(max_examples=100, deadline=None)
+def test_class_search_agrees_with_vertex_search(expr):
+    g = _graph_or_reject(expr, 60)
+    singletons = len(g.twin_classes) == g.vertex_count
+    got_nodes = want_nodes = 0
+    for k in range(-g.max_degree, g.max_degree + 1):
+        try:
+            want = vertex_solve(g, k, node_budget=REFERENCE_NODE_BUDGET)
+        except BudgetExceeded:
+            assume(False)
+        got = solve(AllianceProblem(g, k))
+        assert (got.feasible, got.size) == (want.feasible, want.size), (expr, k)
+        got_nodes += got.nodes
+        want_nodes += want.nodes
+        if got.feasible:
+            assert got.witness.bit_count() == got.size
+            assert g.is_global_defensive_alliance(got.witness, k), (expr, k)
+            # on singleton classes the tree is the vertex search's with
+            # more pruning, so it finds the same first witness
+            if singletons:
+                assert got.witness == want.witness, (expr, k)
+                assert got.nodes <= want.nodes, (expr, k)
+    # per k the count tree can take a node or two more: largest count
+    # first tries two members of one class where the vertex order
+    # interleaves classes of equal degree (Id(Z8, 1) at k = -25: 11
+    # nodes against 9); over the k range it never does
+    assert got_nodes <= want_nodes, expr
+
+
+@pytest.mark.parametrize("expr", sorted(set(KNOWN_GRAPH_CORPUS)))
+def test_corpus_nodes_never_rise(expr):
+    g = G(expr)
+    for k in range(-g.max_degree, g.max_degree + 1):
+        got, want = solve(AllianceProblem(g, k)), vertex_solve(g, k)
+        assert (got.feasible, got.size) == (want.feasible, want.size), k
+        assert got.nodes <= want.nodes, k
+
+
+@pytest.mark.parametrize("expr", SPECTRUM_RINGS)
+def test_spectrum_rings_nodes_never_rise(expr):
+    g = G(expr)
+    got, want = spectrum(g), vertex_spectrum(g)
+    for k in got:
+        assert (got[k].feasible, got[k].size) == \
+            (want[k].feasible, want[k].size), k
+        assert got[k].nodes <= want[k].nodes, k
+
+
+@pytest.mark.parametrize("expr", ["Z2 x Z2 x Z2", "Z2 x Z2 x Z2 x Z2"])
+def test_singleton_classes_give_the_vertex_search_witness(expr):
+    g = G(expr)
+    assert len(g.twin_classes) == g.vertex_count
+    for k in range(-g.max_degree, g.max_degree + 1):
+        got, want = solve(AllianceProblem(g, k)), vertex_solve(g, k)
+        assert (got.size, got.witness) == (want.size, want.witness), k
+        assert got.nodes <= want.nodes, k
+
+
+def test_witness_takes_the_first_members_of_each_class():
+    g = G("Z4096")
+    sol = solve(AllianceProblem(g, 0))
+    assert sol.size == 1024
+    for cls in g.twin_classes:
+        taken = sol.witness & cls
+        members = list(bits(cls))
+        assert taken == sum(1 << v for v in members[:taken.bit_count()])
+
+
+def test_z210_within_the_ladder_budget():
+    g = G("Z210")
+    for k, want in [(-1, 54), (0, 55), (1, 56)]:
+        sol = solve(AllianceProblem(g, k), node_budget=20_000)
+        assert sol.size == want, k
+        assert g.is_global_defensive_alliance(sol.witness, k), k
+
+
+def test_spectrum_workload_node_total():
+    # a tenth of the 244,622 nodes the vertex search spent on these rings
+    total = 0
+    for expr in SPECTRUM_RINGS:
+        total += sum(sol.nodes for sol in spectrum(G(expr)).values())
+    assert total <= 24_462
+
+
+# -- an independent integer program ----------------------------------------
+
+def _milp_size(g, k):
+    """γ_k^d by scipy's MILP: x_v in {0, 1}, every closed neighborhood
+    covered, and 2·Σ_{N(v)} x_u - (deg v + k)·x_v ≥ 0 for every v."""
+    optimize = pytest.importorskip("scipy.optimize")
+    sparse = pytest.importorskip("scipy.sparse")
+    n = g.vertex_count
+    rows, cols, vals = [], [], []
+    for v in range(n):
+        for u in bits(g.closed[v]):
+            rows.append(v)
+            cols.append(u)
+            vals.append(1)
+        for u in bits(g.adj[v]):
+            rows.append(n + v)
+            cols.append(u)
+            vals.append(2)
+        rows.append(n + v)
+        cols.append(v)
+        vals.append(-(g.degree[v] + k))
+    a = sparse.csr_array((vals, (rows, cols)), shape=(2 * n, n))
+    lower = [1] * n + [0] * n
+    res = optimize.milp(c=[1] * n, integrality=[1] * n,
+                        bounds=optimize.Bounds(0, 1),
+                        constraints=optimize.LinearConstraint(a, lower))
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    return round(res.fun)
+
+
+@pytest.mark.parametrize("expr, k, want", [
+    ("Z210", -1, 54), ("Z210", 0, 55), ("Z210", 1, 56), ("Z4096", 0, 1024)])
+def test_milp_cross_check_large(expr, k, want):
+    g = G(expr)
+    assert _milp_size(g, k) == want
+    assert solve(AllianceProblem(g, k)).size == want
+
+
+@pytest.mark.parametrize("expr", ["Z64", "Z2 x Z27", "Z60"])
+def test_milp_cross_check_every_k(expr):
+    g = G(expr)
+    for k in range(-g.max_degree, g.max_degree + 1):
+        sol = solve(AllianceProblem(g, k))
+        assert _milp_size(g, k) == sol.size, k
