@@ -10,8 +10,8 @@ from .expressions import (GF, ExprError, ExprSemanticError, ExprSyntaxError,
                           parse_ring_expr)
 from .graphs import MAX_VERTICES, NoGraphError, ZdGraph, bits, build_graph
 from .solver import (ORACLE_MAX_VERTICES, AllianceProblem, AllianceSolution,
-                     BudgetExceeded, domination_number, oracle_solve, solve,
-                     spectrum)
+                     BudgetExceeded, domination_number, oracle_solve,
+                     oracle_spectrum, solve, spectrum)
 from .formulas import (Prediction, bounds, exact, local_count_bounds,
                        out_of_range, predict_complete, predict_local_index2,
                        predict_prime_power, predict_star_bipartite,
@@ -33,7 +33,8 @@ __all__ = [
     "Product", "Zn", "build_ring", "parse_ring_expr",
     "MAX_VERTICES", "NoGraphError", "ZdGraph", "bits", "build_graph",
     "ORACLE_MAX_VERTICES", "AllianceProblem", "AllianceSolution",
-    "BudgetExceeded", "domination_number", "oracle_solve", "solve", "spectrum",
+    "BudgetExceeded", "domination_number", "oracle_solve", "oracle_spectrum",
+    "solve", "spectrum",
     "Prediction", "bounds", "exact", "local_count_bounds", "out_of_range",
     "predict_complete", "predict_local_index2", "predict_prime_power",
     "predict_star_bipartite", "predict_two_fields", "predict_z2_local",

@@ -19,8 +19,8 @@ from .expressions import ExprError, build_ring
 from .graphs import NoGraphError, build_graph
 from .rings import (CapacityError, FiniteRing, local_structure, nilradical,
                     units, zero_divisors)
-from .solver import (AllianceProblem, BudgetExceeded, oracle_solve, solve,
-                     spectrum)
+from .solver import (AllianceProblem, BudgetExceeded, oracle_solve,
+                     oracle_spectrum, solve, spectrum)
 from .verify import (MISMATCH, SuiteConfig, SUITES, apply_config, emit_report,
                      parse_config_file, records_from_dicts, records_to_dicts,
                      run_suite, summarize)
@@ -180,8 +180,26 @@ def cmd_spectrum(args) -> int:
     for row in rows:
         size = row["size"] if row["feasible"] else "INFEASIBLE"
         lines.append(f"  k={row['k']:>4}  gamma={size}")
+    rc = EXIT_OK
+    if args.oracle:
+        try:
+            refs = oracle_spectrum(graph)
+        except CapacityError as exc:
+            payload["oracle"] = {"skipped": str(exc)}
+            lines.append(f"oracle: skipped ({exc})")
+        else:
+            bad = [k for k, sol in sorted(spect.items())
+                   if (sol.feasible, sol.size) != (refs[k].feasible,
+                                                   refs[k].size)]
+            payload["oracle"] = {"agrees": not bad, "disagrees_at": bad}
+            if bad:
+                lines.append("oracle: DISAGREES at k="
+                             + ", ".join(map(str, bad)))
+                rc = EXIT_MISMATCH
+            else:
+                lines.append("oracle: agrees")
     _emit(payload, args.json, lines)
-    return EXIT_OK
+    return rc
 
 
 def _suite_config_from_args(args) -> SuiteConfig:
@@ -267,6 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
     p.add_argument("--budget", type=int, default=None,
                    help="search node budget for each k")
+    p.add_argument("--oracle", action="store_true",
+                   help="cross-check every k against one brute-force pass "
+                        "(small graphs)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_spectrum)
 

@@ -57,9 +57,20 @@ exact monotonicity of the problem: a global defensive (k+1)-alliance is
 also a global defensive k-alliance, so γ_k ≤ γ_{k+1}.  It walks k upward
 and starts each k's rounds at max(analytic lower bound, γ_{k-1}).
 
-``oracle_solve`` is the independent cross-check: plain enumeration of all
-subsets in increasing popcount order with no pruning beyond the predicate
-itself, capped by default at 22 vertices.
+``oracle_spectrum`` is the independent cross-check: one plain enumeration
+of all subsets, s = 1..n, each s in ``itertools.combinations`` order,
+capped by default at 22 vertices.  A subset S is a global defensive
+k-alliance exactly when it dominates and its slack, min over x ∈ S of
+2·deg_S(x) - deg(x), is at least k.  The pass keeps ``reached``, the
+highest k answered so far; a dominating subset whose slack beats it
+answers every k in (reached, slack] with its size, itself and the number
+of subsets examined so far.  The pass stops once ``reached`` hits its
+target; a k still unanswered after s = n is infeasible, with all 2^n - 1
+subsets examined.  ``oracle_solve`` is the same pass aimed at one k, so
+each k gets the answer a per-k enumeration would give.  The pass uses
+nothing but the predicate: no core, twin classes or bounds.  Its one
+shortcut is to stop a member loop once the slack is at most ``reached``,
+which cannot change any answer.
 """
 
 from __future__ import annotations
@@ -387,43 +398,79 @@ def solve(problem: AllianceProblem, *, node_budget: Optional[int] = None,
     return _solve_with_gamma(problem.graph, problem.k, 1, node_budget, deadline)
 
 
+def _oracle_pass(graph: ZdGraph, lo: int, hi: int, max_vertices: int
+                 ) -> dict[int, AllianceSolution]:
+    """One enumeration of all subsets in increasing popcount order that
+    answers every k in [lo, hi]; see the module docstring."""
+    n = graph.vertex_count
+    if n > max_vertices:
+        raise CapacityError(
+            f"oracle is capped at {max_vertices} vertices, graph has {n}")
+    adj = graph.adj
+    deg = graph.degree
+    closed = graph.closed
+    full = graph.full_mask
+    bit = [1 << v for v in range(n)]
+    start = time.perf_counter()
+    out: dict[int, AllianceSolution] = {}
+    reached = lo - 1
+    examined = 0
+    for s in range(1, n + 1):
+        for combo in combinations(range(n), s):
+            examined += 1
+            m = cov = 0
+            for v in combo:
+                m |= bit[v]
+                cov |= closed[v]
+            if cov != full:
+                continue
+            slack = hi  # no k above hi is asked
+            for v in combo:
+                d = 2 * (adj[v] & m).bit_count() - deg[v]
+                if d < slack:
+                    slack = d
+                    if slack <= reached:
+                        break
+            if slack > reached:
+                sol = AllianceSolution(True, s, m, examined,
+                                       time.perf_counter() - start)
+                for k in range(reached + 1, slack + 1):
+                    out[k] = sol
+                reached = slack
+                if reached >= hi:
+                    return out
+    sol = AllianceSolution(False, None, None, examined,
+                           time.perf_counter() - start)
+    for k in range(reached + 1, hi + 1):
+        out[k] = sol
+    return out
+
+
+def oracle_spectrum(graph: ZdGraph, *,
+                    max_vertices: int = ORACLE_MAX_VERTICES
+                    ) -> dict[int, AllianceSolution]:
+    """Brute-force reference for every k in [-max_degree, max_degree], from
+    one enumeration of all subsets.
+
+    Each k's feasible / size / witness / nodes are those of
+    :func:`oracle_solve` at that k.  Refuses graphs above ``max_vertices``
+    before enumerating anything.
+    """
+    return _oracle_pass(graph, -graph.max_degree, graph.max_degree,
+                        max_vertices)
+
+
 def oracle_solve(problem: AllianceProblem, *,
                  max_vertices: int = ORACLE_MAX_VERTICES) -> AllianceSolution:
     """Brute-force reference: all subsets in increasing popcount order.
 
     No pruning beyond the predicate itself; identical verdict semantics to
-    :func:`solve`.  Refuses graphs above ``max_vertices``.
+    :func:`solve`, for any integer k.  ``nodes`` counts the subsets
+    examined, 2^n - 1 when infeasible.  Refuses graphs above
+    ``max_vertices``.
     """
-    graph = problem.graph
-    n = graph.vertex_count
-    if n > max_vertices:
-        raise CapacityError(
-            f"oracle is capped at {max_vertices} vertices, graph has {n}")
     k = problem.k
-    adj = graph.adj
-    deg = graph.degree
-    closed = graph.closed
-    full = graph.full_mask
-    start = time.perf_counter()
-    examined = 0
-    for s in range(1, n + 1):
-        for combo in combinations(range(n), s):
-            examined += 1
-            m = 0
-            for v in combo:
-                m |= 1 << v
-            ok = True
-            cov = 0
-            for v in combo:
-                if 2 * (adj[v] & m).bit_count() < deg[v] + k:
-                    ok = False
-                    break
-                cov |= closed[v]
-            if ok and cov == full:
-                return AllianceSolution(True, s, m, examined,
-                                        time.perf_counter() - start)
-    return AllianceSolution(False, None, None, examined,
-                            time.perf_counter() - start)
+    return _oracle_pass(problem.graph, k, k, max_vertices)[k]
 
 
 def spectrum(graph: ZdGraph, *, node_budget: Optional[int] = None,

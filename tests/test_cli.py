@@ -201,6 +201,46 @@ def test_spectrum_budget_exhausted_text(capsys):
     assert "budget exhausted" in err
 
 
+def test_spectrum_oracle_agrees(capsys):
+    code, out, _ = run(capsys, "spectrum", "Z12", "--oracle")
+    assert code == 0
+    assert out.splitlines()[-1] == "oracle: agrees"
+
+
+def test_spectrum_oracle_json(capsys):
+    code, out, _ = run(capsys, "spectrum", "Z12", "--oracle", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["oracle"] == {"agrees": True, "disagrees_at": []}
+
+
+def test_spectrum_oracle_skipped_over_cap(capsys):
+    # 26 vertices; the spectrum still prints, the cross-check does not
+    code, out, _ = run(capsys, "spectrum", "Z81", "--oracle")
+    assert code == 0
+    assert "k=   0  gamma=" in out
+    assert out.splitlines()[-1].startswith("oracle: skipped (")
+    assert "22" in out.splitlines()[-1]
+    code, out, _ = run(capsys, "spectrum", "Z81", "--oracle", "--json")
+    assert code == 0
+    assert "22" in json.loads(out)["oracle"]["skipped"]
+
+
+def test_spectrum_oracle_disagreement_exits_2(capsys, monkeypatch):
+    import zdalliance.cli as C
+    from zdalliance import oracle_spectrum
+
+    def wrong_at_zero(graph):
+        refs = oracle_spectrum(graph)
+        refs[0] = refs[1]
+        return refs
+
+    monkeypatch.setattr(C, "oracle_spectrum", wrong_at_zero)
+    code, out, _ = run(capsys, "spectrum", "Z12", "--oracle")
+    assert code == 2
+    assert out.splitlines()[-1] == "oracle: DISAGREES at k=0"
+
+
 def test_verify_summary_and_report(capsys, tmp_path):
     out_file = tmp_path / "tables.csv"
     code, out, _ = run(capsys, "verify", "tables", "--out", str(out_file))

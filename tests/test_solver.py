@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from zdalliance import (AllianceProblem, BudgetExceeded, CapacityError,
                         NoGraphError, bits, build_graph, build_ring,
-                        domination_number, oracle_solve, solve, spectrum,
-                        zero_divisors)
+                        domination_number, oracle_solve, oracle_spectrum,
+                        solve, spectrum, zero_divisors)
 from zdalliance.verify import KNOWN_GRAPH_CORPUS
 from vertex_search import vertex_solve, vertex_spectrum
 
@@ -101,11 +101,43 @@ def test_solution_at_least_domination_number():
                                   "Z2 x Z9", "Z30"])
 def test_oracle_agreement_all_k(expr):
     g = G(expr)
-    for k in range(-g.max_degree, g.max_degree + 1):
+    refs = oracle_spectrum(g)
+    assert sorted(refs) == list(range(-g.max_degree, g.max_degree + 1))
+    for k, slow in refs.items():
         fast = solve(AllianceProblem(g, k))
-        slow = oracle_solve(AllianceProblem(g, k))
         assert (fast.feasible, fast.size) == (slow.feasible, slow.size), \
             (expr, k)
+        if slow.feasible:
+            assert slow.witness.bit_count() == slow.size
+            assert g.is_global_defensive_alliance(slow.witness, k), (expr, k)
+
+
+def _oracle_solve_is_spectrum_view(g, label):
+    """oracle_solve at every k in [-D, D] is oracle_spectrum's answer, field
+    by field; outside that range it agrees with solve."""
+    refs = oracle_spectrum(g)
+    for k in range(-g.max_degree - 3, g.max_degree + 2):
+        one = oracle_solve(AllianceProblem(g, k))
+        if k in refs:
+            want = refs[k]
+            assert (one.feasible, one.size, one.witness, one.nodes) == \
+                (want.feasible, want.size, want.witness, want.nodes), (label, k)
+        else:
+            want = solve(AllianceProblem(g, k))
+            assert (one.feasible, one.size) == (want.feasible, want.size), \
+                (label, k)
+        if not one.feasible:
+            # every subset was examined
+            assert one.nodes == 2 ** g.vertex_count - 1, (label, k)
+
+
+SMALL_CORPUS = [expr for expr in KNOWN_GRAPH_CORPUS
+                if G(expr).vertex_count <= 17]
+
+
+@pytest.mark.parametrize("expr", SMALL_CORPUS)
+def test_oracle_solve_is_a_view_of_oracle_spectrum(expr):
+    _oracle_solve_is_spectrum_view(G(expr), expr)
 
 
 def test_complete_graph_closed_form():
@@ -140,6 +172,18 @@ def test_oracle_vertex_cap():
     oracle_solve(AllianceProblem(small, 0), max_vertices=7)
     with pytest.raises(CapacityError):
         oracle_solve(AllianceProblem(small, 0), max_vertices=6)
+
+
+def test_oracle_spectrum_vertex_cap():
+    g = G("Z81")
+    assert g.vertex_count == 26
+    with pytest.raises(CapacityError):
+        oracle_spectrum(g)
+    # the cap is adjustable
+    small = G("Z12")
+    oracle_spectrum(small, max_vertices=7)
+    with pytest.raises(CapacityError):
+        oracle_spectrum(small, max_vertices=6)
 
 
 def test_oracle_counts_subsets():
@@ -219,6 +263,17 @@ def test_solve_agrees_with_oracle_and_infeasible_needs_no_search(expr):
         assert (got.feasible, got.size) == (want.feasible, want.size), (expr, k)
         if not got.feasible:
             assert got.nodes == 0, (expr, k)
+
+
+@given(SMALL_RINGS)
+@settings(max_examples=60, deadline=None)
+def test_oracle_solve_is_a_view_of_oracle_spectrum_small_rings(expr):
+    try:
+        g = G(expr)
+    except NoGraphError:
+        assume(False)
+    assume(g.vertex_count <= 12)
+    _oracle_solve_is_spectrum_view(g, expr)
 
 
 def test_spectrum_proves_infeasibility_without_search():

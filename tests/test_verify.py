@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from zdalliance import (SuiteConfig, build_graph, run_suite, solver,
-                        summarize, verify)
+from zdalliance import (SuiteConfig, build_graph, build_ring, run_suite,
+                        solver, summarize, verify)
 from zdalliance.verify import (CSV_COLUMNS, emit_report, parse_config_file,
                                apply_config, records_from_dicts,
                                records_to_dicts)
@@ -71,6 +71,16 @@ def test_known_graphs_oracle_cap_reported_not_dropped():
     assert len(records) == 1
     assert records[0].status == "SKIPPED"
     assert "oracle-cap" in records[0].reason
+
+
+def test_known_graphs_budget_skips_every_k():
+    records = run_suite(SuiteConfig(suite="known_graphs", grid="Z12",
+                                    node_budget=1))
+    g = build_graph(build_ring("Z12"))
+    assert [r.k for r in records] == list(range(-g.max_degree,
+                                                g.max_degree + 1))
+    assert all(r.status == "SKIPPED" and r.reason.startswith("budget(")
+               for r in records)
 
 
 def test_known_graphs_small():
