@@ -4,28 +4,36 @@ Every ring places its elements on the ids ``0 .. order-1`` with id 0 the
 additive identity.  A ring is a frozen record of its construction's own
 functions: ``ring.mul(a, b)`` calls the construction's multiplication
 directly, so memory stays linear in the order.  Each construction also
-decides its own units (``ring.is_unit``); every element of a finite
-commutative ring is a unit or a zero divisor, so the interrogations below
-read units and zero divisors off ``is_unit`` without multiplying.  Four
+decides its own units (``ring.is_unit``) and lists its own annihilators
+(``ring.ann``); every element of a finite commutative ring is a unit or a
+zero divisor, so ``zero_divisors``, ``units`` and ``annihilator`` read
+them off those two functions and never call ``ring.mul``.  Four
 constructions are provided:
 
 * ``make_zn(n)``        -- residues modulo ``n``; id i is the residue i,
-                           a unit iff gcd(i, n) = 1.
+                           a unit iff gcd(i, n) = 1; Ann(i) is the
+                           multiples of n / gcd(i, n).
 * ``make_gf(p, k)``     -- the field of order p**k, as polynomials modulo
                            the lexicographically smallest monic irreducible
                            of degree k (ids encode coefficients base p, so
                            id 1 is the constant polynomial 1); every
-                           nonzero element is a unit.
+                           nonzero element is a unit, so Ann(0) is the
+                           field and Ann(a) = {0} otherwise.
 * ``make_product(fs)``  -- componentwise arithmetic; ids are the mixed-radix
                            encoding of component ids, first factor most
                            significant.  The multiplicative identity of a
                            product is ``ring.one``, which is not id 1.  An
-                           element is a unit iff every component is.
+                           element is a unit iff every component is, and
+                           Ann(x) is the product of the components'
+                           annihilators.
 * ``make_idealization(R, r)`` -- R (+) R**r with (a,n)(b,m) = (ab, am+bn);
                            the module part squares to zero.  Ids place the
                            base component least significant, so the
                            identity (1, 0) has the id ``R.one``.  (a, n) is
                            a unit iff a is, with inverse (a^-1, -a^-2 n).
+                           Ann((a, n)) is every (b, m) with b in Ann_R(a)
+                           and a*m_i = -b*n_i in each coordinate, read off
+                           a table of the preimages of m -> a*m.
 
 Constructions are pure and deterministic: the same parameters always yield
 the same element encoding, which downstream layers rely on for stable
@@ -71,7 +79,9 @@ def _capped_order(sizes: Iterable[int], order_cap: Optional[int],
 class FiniteRing:
     """Immutable finite commutative ring with identity.
 
-    ``add``/``mul``/``neg``/``is_unit`` are total over ``0 <= id < order``.
+    ``add``/``mul``/``neg``/``is_unit``/``ann`` are total over
+    ``0 <= id < order``.  ``ann(x)`` yields, once each and in no set order,
+    the ids of every y with xy = 0.
     ``one`` is the id of the multiplicative identity (1 except for direct
     products and idealizations over them, whose encoding is fixed by the
     mixed-radix contract).  Equality and hashing are by identity.
@@ -84,6 +94,7 @@ class FiniteRing:
     one: int
     label: str
     is_unit: Callable[[int], bool]
+    ann: Callable[[int], Iterable[int]]
     element_label: Callable[[int], str] = str
 
     def sub(self, a: int, b: int) -> int:
@@ -114,6 +125,7 @@ def make_zn(n: int, order_cap: Optional[int] = None) -> FiniteRing:
         one=1,
         label=f"Z{n}",
         is_unit=lambda a: gcd(a, n) == 1,
+        ann=lambda a: range(0, n, n // gcd(a, n)),
     )
 
 
@@ -222,7 +234,9 @@ def make_gf(p: int, k: int = 1, order_cap: Optional[int] = None) -> FiniteRing:
             v = v * p + conv[i]
         return v
 
-    return FiniteRing(q, add, mul, neg, 1, f"GF({q})", lambda a: a != 0)
+    whole = range(q)
+    return FiniteRing(q, add, mul, neg, 1, f"GF({q})", lambda a: a != 0,
+                      lambda a: (0,) if a else whole)
 
 
 def make_product(factors: Sequence[FiniteRing],
@@ -265,12 +279,21 @@ def make_product(factors: Sequence[FiniteRing],
     def is_unit(a: int) -> bool:
         return all(f.is_unit(x) for f, x in zip(factors, split(a)))
 
+    def ann(a: int) -> list[int]:
+        # mixed-radix join of every choice of one annihilator per component
+        out = [0]
+        for f, o, x in zip(factors, orders, split(a)):
+            comp = tuple(f.ann(x))
+            out = [v * o + y for v in out for y in comp]
+        return out
+
     def element_label(a: int) -> str:
         parts = [f.element_label(x) for f, x in zip(factors, split(a))]
         return "(" + ",".join(parts) + ")"
 
     one = join([f.one for f in factors])
-    return FiniteRing(order, add, mul, neg, one, label, is_unit, element_label)
+    return FiniteRing(order, add, mul, neg, one, label, is_unit, ann,
+                      element_label)
 
 
 def make_idealization(base: FiniteRing, rank: int = 1,
@@ -313,13 +336,28 @@ def make_idealization(base: FiniteRing, rank: int = 1,
         a, n = split(x)
         return join(base.neg(a), [base.neg(u) for u in n])
 
+    def ann(x: int) -> list[int]:
+        # (a,n)(b,m) = 0 iff ab = 0 and a*m_i = -b*n_i for every i
+        a, n = split(x)
+        preimages: list[list[int]] = [[] for _ in range(o)]
+        for m in range(o):
+            preimages[base.mul(a, m)].append(m)
+        out = []
+        for b in base.ann(a):
+            tails = [0]
+            for u in reversed(n):
+                ms = preimages[base.neg(base.mul(b, u))]
+                tails = [t * o + m for t in tails for m in ms]
+            out.extend(t * o + b for t in tails)
+        return out
+
     def element_label(x: int) -> str:
         a, n = split(x)
         mods = ",".join(base.element_label(u) for u in n)
         return f"({base.element_label(a)}; {mods})"
 
     return FiniteRing(order, add, mul, neg, base.one, label,
-                      lambda x: base.is_unit(x % o), element_label)
+                      lambda x: base.is_unit(x % o), ann, element_label)
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +375,14 @@ def zero_divisors(ring: FiniteRing) -> frozenset[int]:
 
 
 def annihilator(ring: FiniteRing, x: int) -> frozenset[int]:
-    """Ann(x) = all y with xy = 0; always an ideal."""
+    """Ann(x) = all y with xy = 0; always an ideal.
+
+    Read off the construction's own ``ring.ann``; multiplies nothing in
+    the ring itself.
+    """
     if not 0 <= x < ring.order:
         raise ValueError(f"element id {x} out of range")
-    mul = ring.mul
-    return frozenset(y for y in range(ring.order) if mul(x, y) == 0)
+    return frozenset(ring.ann(x))
 
 
 def units(ring: FiniteRing) -> frozenset[int]:

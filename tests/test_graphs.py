@@ -5,8 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zdalliance import (CapacityError, NoGraphError, annihilator, bits,
-                        build_graph, build_ring)
+                        build_graph, build_ring, zero_divisors)
 from zdalliance.verify import KNOWN_GRAPH_CORPUS
+
+from graph_reference import pair_scan_graph
+from test_rings import AXIOM_CORPUS, _counting_mul, ring_exprs
 
 
 def G(expr):
@@ -239,3 +242,42 @@ def test_twin_classes_of_both_kinds():
     assert g.twin_classes == (0b11,)
     assert annihilator(ring, g.element_ids[0]) != \
         annihilator(ring, g.element_ids[1])
+
+
+# every ring here takes the pair scan well under a second
+REFERENCE_RINGS = sorted(set(KNOWN_GRAPH_CORPUS + TWIN_RINGS + (
+    "Z4096", "Z2310", "Id(Z2 x Z2, 2)", "Id(GF(8), 2)",
+    "Z8 x Id(Z3, 1) x GF(8)", "Id(Z9, 1)")))
+
+
+@pytest.mark.parametrize("expr", REFERENCE_RINGS)
+def test_graph_matches_pair_scan(expr):
+    ring = build_ring(expr)
+    g = build_graph(ring)
+    assert (g.element_ids, g.adj) == pair_scan_graph(ring)
+
+
+@given(ring_exprs())
+@settings(max_examples=60, deadline=None)
+def test_graph_matches_pair_scan_property(expr):
+    ring = build_ring(expr)
+    element_ids, adj = pair_scan_graph(ring)
+    if not element_ids:
+        with pytest.raises(NoGraphError):
+            build_graph(ring)
+        return
+    g = build_graph(ring)
+    assert (g.element_ids, g.adj) == (element_ids, adj)
+
+
+@pytest.mark.parametrize("expr", AXIOM_CORPUS + ["Z4096"])
+def test_build_graph_multiplies_nothing(expr):
+    counted, calls = _counting_mul(build_ring(expr))
+    for x in range(counted.order):
+        annihilator(counted, x)
+    if zero_divisors(counted) == {0}:
+        with pytest.raises(NoGraphError):
+            build_graph(counted)
+    else:
+        build_graph(counted)
+    assert calls[0] == 0

@@ -26,6 +26,11 @@ def _brute_units(ring):
             if any(ring.mul(x, y) == ring.one for y in range(ring.order))}
 
 
+def _brute_annihilator(ring, x):
+    # the definition, by brute force: every y with xy = 0
+    return {y for y in range(ring.order) if ring.mul(x, y) == 0}
+
+
 def _brute_zero_divisors(ring):
     # the definition, by brute force: x = 0, or xy = 0 for some y != 0
     return {x for x in range(ring.order)
@@ -67,6 +72,26 @@ def test_annihilators():
     assert annihilator(make_zn(8), 2) == {0, 4}
     assert annihilator(r12, 0) == set(range(12))
     assert annihilator(r12, 1) == {0}
+    gf8 = make_gf(2, 3)
+    assert annihilator(gf8, 0) == set(range(8))
+    assert annihilator(gf8, 5) == {0}
+    # Z2 x Z4: Ann((1,2)) = {(0,0), (0,2)}, Ann((0,2)) = Z2 x {0, 2}
+    z2z4 = build_ring("Z2 x Z4")
+    assert annihilator(z2z4, 6) == {0, 2}
+    assert annihilator(z2z4, 2) == {0, 2, 4, 6}
+    # Id(Z4, 2), id b + 4 m1 + 16 m2: (2; 1,0)(b; m1,m2) = 0 iff b is 0 or
+    # 2, 2 m1 = -b and 2 m2 = 0
+    id42 = build_ring("Id(Z4, 2)")
+    assert id42.element_label(6) == "(2; 1,0)"
+    assert annihilator(id42, 6) == {0, 8, 32, 40, 6, 14, 38, 46}
+    # Id(Z9, 1), id b + 9 m: (3; 1)(b; m) = 0 iff b is 0, 3 or 6 and
+    # 3 m = -b
+    id9 = build_ring("Id(Z9, 1)")
+    assert id9.element_label(12) == "(3; 1)"
+    assert annihilator(id9, 12) == {0, 27, 54, 3 + 18, 3 + 45, 3 + 72,
+                                    6 + 9, 6 + 36, 6 + 63}
+    with pytest.raises(ValueError, match="out of range"):
+        annihilator(r12, 12)
 
 
 def test_gf4_table():
@@ -313,6 +338,28 @@ def ring_exprs(draw):
     else:
         base = _atom_expr(draw, room)[0]
     return f"Id({base}, {rank})"
+
+
+def _assert_ann_is_definition(ring):
+    for x in range(ring.order):
+        listed = list(ring.ann(x))
+        assert len(listed) == len(set(listed)), (ring.label, x)
+        assert set(listed) == _brute_annihilator(ring, x), (ring.label, x)
+
+
+# idealizations over non-reduced bases of odd characteristic, where the
+# module condition a*m = -b*n differs from a*m = b*n
+@pytest.mark.parametrize("expr", AXIOM_CORPUS + [
+    "Id(Z9, 1)", "Id(Z4, 2)", "Id(Z2 x Z9, 1)"])
+def test_ann_matches_definition(expr):
+    _assert_ann_is_definition(build_ring(expr))
+
+
+@given(ring_exprs())
+@settings(max_examples=40, deadline=None)
+def test_ann_matches_definition_property(expr):
+    # covers Id over product bases, rank 2 and GF(q) extension fields
+    _assert_ann_is_definition(build_ring(expr))
 
 
 @given(ring_exprs())
