@@ -423,18 +423,30 @@ class LocalStructure:
     nilpotency_index: Optional[int]
 
 
-def _additive_closure(ring: FiniteRing, seed: set[int]) -> frozenset[int]:
+def _additive_span(ring: FiniteRing, seed: Iterable[int]
+                   ) -> tuple[frozenset[int], list[int]]:
+    """The additive subgroup generated by ``seed``, and the members of seed
+    taken as its generators.
+
+    A seed element outside the span so far becomes a generator, and the
+    span H grows to H + <x> by walking the cosets H + x, H + 2x, ... until
+    one lands back in H.  The span at least doubles with each generator,
+    so building it costs fewer than twice its size in ``add`` calls.
+    """
     add = ring.add
-    closed = set(seed) | {0}
-    frontier = list(closed)
-    while frontier:
-        x = frontier.pop()
-        for y in list(closed):
-            s = add(x, y)
-            if s not in closed:
-                closed.add(s)
-                frontier.append(s)
-    return frozenset(closed)
+    span = {0}
+    gens = []
+    for x in seed:
+        if x in span:
+            continue
+        gens.append(x)
+        coset = list(span)
+        while True:
+            coset = [add(a, x) for a in coset]
+            if coset[0] in span:
+                break
+            span.update(coset)
+    return frozenset(span), gens
 
 
 def local_structure(ring: FiniteRing) -> Optional[LocalStructure]:
@@ -443,7 +455,10 @@ def local_structure(ring: FiniteRing) -> Optional[LocalStructure]:
     A ring is local exactly when 1 - a is a unit for every non-unit a; the
     non-units (the zero divisors, in a finite ring) then form the unique
     maximal ideal.  That test costs one ``sub`` per zero divisor and no
-    ``mul``; only the nilpotency index of a local ring multiplies.
+    ``mul``.  The nilpotency index is the least t with M^t = 0.  By
+    bilinearity M·I is the additive span of the products g·h over additive
+    generators g of M and h of I, so each power multiplies only those
+    generators, not every pair of elements.
     """
     m = zero_divisors(ring)
     one, sub, is_unit = ring.one, ring.sub, ring.is_unit
@@ -453,15 +468,16 @@ def local_structure(ring: FiniteRing) -> Optional[LocalStructure]:
     if m == zero_only:
         return LocalStructure(m, 1)
     mul = ring.mul
-    power = m
+    m_gens = _additive_span(ring, m)[1]
+    power, power_gens = m, m_gens
     index = 1
     while index <= ring.order:
         if power == zero_only:
             return LocalStructure(m, index)
-        products = {mul(a, b) for a in m for b in power}
-        nxt = _additive_closure(ring, products)
+        nxt, nxt_gens = _additive_span(
+            ring, [mul(a, b) for a in m_gens for b in power_gens])
         if nxt == power:
             return LocalStructure(m, None)
-        power = nxt
+        power, power_gens = nxt, nxt_gens
         index += 1
     return LocalStructure(m, None)  # pragma: no cover - cap never hit for local rings

@@ -57,27 +57,41 @@ exact monotonicity of the problem: a global defensive (k+1)-alliance is
 also a global defensive k-alliance, so γ_k ≤ γ_{k+1}.  It walks k upward
 and starts each k's rounds at max(analytic lower bound, γ_{k-1}).
 
-``oracle_spectrum`` is the independent cross-check: one plain enumeration
-of all subsets, s = 1..n, each s in ``itertools.combinations`` order,
-capped by default at 22 vertices.  A subset S is a global defensive
-k-alliance exactly when it dominates and its slack, min over x ∈ S of
+``oracle_spectrum`` is the independent cross-check: one enumeration of
+all subsets, s = 1..n, each s in ``itertools.combinations`` order, capped
+by default at 22 vertices.  A subset S is a global defensive k-alliance
+exactly when it dominates and its slack, min over x ∈ S of
 2·deg_S(x) - deg(x), is at least k.  The pass keeps ``reached``, the
 highest k answered so far; a dominating subset whose slack beats it
 answers every k in (reached, slack] with its size, itself and the number
 of subsets examined so far.  The pass stops once ``reached`` hits its
 target; a k still unanswered after s = n is infeasible, with all 2^n - 1
 subsets examined.  ``oracle_solve`` is the same pass aimed at one k, so
-each k gets the answer a per-k enumeration would give.  The pass uses
-nothing but the predicate: no core, twin classes or bounds.  Its one
-shortcut is to stop a member loop once the slack is at most ``reached``,
-which cannot change any answer.
+each k gets the answer a per-k enumeration would give.
+
+The walk runs depth first over prefixes P, with r picks left and only
+vertices from the first free one, i, onward still to add.  It skips the
+whole subtree of P, counting its C(n - i, r) subsets as examined, when no
+subset in it can beat ``reached``:
+
+* no completion dominates: P's cover joined with the closed
+  neighbourhoods of vertices i..n-1 misses a vertex, or
+* some member x of P keeps its slack at most ``reached``: deg_S(x) grows
+  with S, by at most min(r, |adj(x) ∩ {i..n-1}|), so
+  2·(deg_P(x) + that) - deg(x) ≤ reached rules out every completion.
+
+A skipped subset would answer no k, so every answer, witness and ``nodes``
+count is what visiting each subset in turn gives; the plain enumeration
+lives on as the test reference ``tests/oracle_reference.py``.  The pass
+uses nothing but the predicate and vertex counts: no core, twin classes,
+bounds or solver code.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from math import comb
 from typing import Optional
 
 from .graphs import ZdGraph, bits
@@ -400,8 +414,9 @@ def solve(problem: AllianceProblem, *, node_budget: Optional[int] = None,
 
 def _oracle_pass(graph: ZdGraph, lo: int, hi: int, max_vertices: int
                  ) -> dict[int, AllianceSolution]:
-    """One enumeration of all subsets in increasing popcount order that
-    answers every k in [lo, hi]; see the module docstring."""
+    """One walk over all subsets in increasing popcount order that answers
+    every k in [lo, hi], skipping subtrees that answer none of them; see
+    the module docstring."""
     n = graph.vertex_count
     if n > max_vertices:
         raise CapacityError(
@@ -410,22 +425,45 @@ def _oracle_pass(graph: ZdGraph, lo: int, hi: int, max_vertices: int
     deg = graph.degree
     closed = graph.closed
     full = graph.full_mask
-    bit = [1 << v for v in range(n)]
+    # reach[i]: the union of the closed neighbourhoods of vertices i..n-1
+    reach = [0] * (n + 1)
+    for v in range(n - 1, -1, -1):
+        reach[v] = reach[v + 1] | closed[v]
     start = time.perf_counter()
     out: dict[int, AllianceSolution] = {}
     reached = lo - 1
     examined = 0
     for s in range(1, n + 1):
-        for combo in combinations(range(n), s):
+        # prefixes in combinations order: (first free vertex, set, cover, size)
+        stack = [(0, 0, 0, 0)]
+        while stack:
+            first, m, cov, size = stack.pop()
+            r = s - size
+            if r:
+                # skip the subtree, counting its subsets, unless some
+                # completion dominates and every member x can still raise
+                # its slack above reached: deg_S(x) grows by at most
+                # min(r, |adj(x) ∩ free|), free being vertices first..n-1
+                if cov | reach[first] == full:
+                    free = full >> first << first
+                    for x in bits(m):
+                        ax = adj[x]
+                        gain = (ax & free).bit_count()
+                        if 2 * ((ax & m).bit_count() + (gain if gain < r else r)
+                                ) - deg[x] <= reached:
+                            break
+                    else:
+                        for v in range(n - r, first - 1, -1):
+                            stack.append((v + 1, m | (1 << v), cov | closed[v],
+                                          size + 1))
+                        continue
+                examined += comb(n - first, r)
+                continue
             examined += 1
-            m = cov = 0
-            for v in combo:
-                m |= bit[v]
-                cov |= closed[v]
             if cov != full:
                 continue
             slack = hi  # no k above hi is asked
-            for v in combo:
+            for v in bits(m):
                 d = 2 * (adj[v] & m).bit_count() - deg[v]
                 if d < slack:
                     slack = d
@@ -464,9 +502,10 @@ def oracle_solve(problem: AllianceProblem, *,
                  max_vertices: int = ORACLE_MAX_VERTICES) -> AllianceSolution:
     """Brute-force reference: all subsets in increasing popcount order.
 
-    No pruning beyond the predicate itself; identical verdict semantics to
-    :func:`solve`, for any integer k.  ``nodes`` counts the subsets
-    examined, 2^n - 1 when infeasible.  Refuses graphs above
+    Skips only subtrees of subsets that cannot answer k, by the two rules
+    in the module docstring, and still counts them; identical verdict
+    semantics to :func:`solve`, for any integer k.  ``nodes`` counts the
+    subsets examined, 2^n - 1 when infeasible.  Refuses graphs above
     ``max_vertices``.
     """
     k = problem.k

@@ -190,6 +190,15 @@ def test_local_structure_z27():
     assert s.nilpotency_index == 3
 
 
+# Z_{p^e}: M^t = (p^t), zero first at t = e.
+# Id(Z_{p^e}, 1): M^t = (p^t) ⊕ (p^(t-1)), zero first at t = e + 1.
+@pytest.mark.parametrize("expr, index", [
+    ("Z243", 5), ("Z1024", 10), ("Z3125", 5), ("Z4096", 12),
+    ("Id(Z27, 1)", 4), ("Id(Z64, 1)", 7)])
+def test_nilpotency_index_closed_forms(expr, index):
+    assert local_structure(build_ring(expr)).nilpotency_index == index
+
+
 @pytest.mark.parametrize("expr", AXIOM_CORPUS)
 def test_ring_axioms(expr):
     verify_ring_axioms(build_ring(expr))

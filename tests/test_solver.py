@@ -12,6 +12,7 @@ from zdalliance import (AllianceProblem, BudgetExceeded, CapacityError,
                         domination_number, oracle_solve, oracle_spectrum,
                         solve, spectrum, zero_divisors)
 from zdalliance.verify import KNOWN_GRAPH_CORPUS
+from oracle_reference import reference_solve, reference_spectrum
 from vertex_search import vertex_solve, vertex_spectrum
 
 PINNED = {
@@ -140,6 +141,52 @@ def test_oracle_solve_is_a_view_of_oracle_spectrum(expr):
     _oracle_solve_is_spectrum_view(G(expr), expr)
 
 
+def _fields(sol):
+    return sol.feasible, sol.size, sol.witness, sol.nodes
+
+
+def _oracle_matches_reference(g, label, ks):
+    """oracle_spectrum, and oracle_solve at each k in ks, give the plain
+    enumeration's feasible, size, witness and nodes."""
+    got, want = oracle_spectrum(g), reference_spectrum(g)
+    assert sorted(got) == sorted(want), label
+    for k in want:
+        assert _fields(got[k]) == _fields(want[k]), (label, k)
+    for k in ks:
+        assert _fields(oracle_solve(AllianceProblem(g, k))) == \
+            _fields(reference_solve(g, k)), (label, k)
+
+
+def _every_k(g):
+    return range(-g.max_degree - 3, g.max_degree + 2)
+
+
+@pytest.mark.parametrize("expr", SMALL_CORPUS)
+def test_oracle_matches_reference_on_small_corpus(expr):
+    g = G(expr)
+    _oracle_matches_reference(g, expr, _every_k(g))
+
+
+@pytest.mark.parametrize("expr", ["Z2 x Z2 x Z2 x Z2", "Z3 x Z3 x Z3",
+                                  "Z6 x Z4"])
+def test_oracle_matches_reference_where_skips_fire(expr):
+    # both skip rules cut most of these walks; the plain enumeration of
+    # the larger two takes about a second per infeasible k, so oracle_solve
+    # is checked at a few k on each side of the feasible range there
+    g = G(expr)
+    ks = _every_k(g) if g.vertex_count <= 14 else (
+        -g.max_degree - 1, 0, g.min_degree, g.min_degree + 1)
+    _oracle_matches_reference(g, expr, ks)
+
+
+def test_oracle_matches_reference_on_the_largest_corpus_ring():
+    # 21 vertices: the plain enumeration walks all 2^21 - 1 subsets (about
+    # 3 s), so this ring is checked through oracle_spectrum only
+    g = G("Z2 x Z3 x Z5")
+    assert g.vertex_count == 21
+    _oracle_matches_reference(g, "Z2 x Z3 x Z5", ())
+
+
 def test_complete_graph_closed_form():
     # multiples of p in Z_{p^2} induce K_{p-1}
     for p, n in [(5, 4), (7, 6)]:
@@ -187,9 +234,11 @@ def test_oracle_spectrum_vertex_cap():
 
 
 def test_oracle_counts_subsets():
-    sol = oracle_solve(AllianceProblem(G("Z8"), 0))
+    g = G("Z8")
+    sol = oracle_solve(AllianceProblem(g, 0))
     assert sol.feasible and sol.size == 2
-    assert sol.nodes >= 3  # at least all singletons before any pair
+    # all three singletons, then the first pair, which is the witness
+    assert sol.nodes == reference_solve(g, 0).nodes == 4
 
 
 def test_solution_str():
@@ -274,6 +323,17 @@ def test_oracle_solve_is_a_view_of_oracle_spectrum_small_rings(expr):
         assume(False)
     assume(g.vertex_count <= 12)
     _oracle_solve_is_spectrum_view(g, expr)
+
+
+@given(SMALL_RINGS)
+@settings(max_examples=60, deadline=None)
+def test_oracle_matches_reference_small_rings(expr):
+    try:
+        g = G(expr)
+    except NoGraphError:
+        assume(False)
+    assume(g.vertex_count <= 12)
+    _oracle_matches_reference(g, expr, _every_k(g))
 
 
 def test_spectrum_proves_infeasibility_without_search():
