@@ -22,8 +22,8 @@ from .rings import (CapacityError, FiniteRing, local_structure, nilradical,
 from .solver import (AllianceProblem, BudgetExceeded, oracle_solve,
                      oracle_spectrum, solve, spectrum)
 from .verify import (MISMATCH, SuiteConfig, SUITES, apply_config, emit_report,
-                     parse_config_file, records_from_dicts, records_to_dicts,
-                     run_suite, summarize)
+                     non_negative, parse_config_file, records_from_dicts,
+                     records_to_dicts, run_suite, summarize)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -33,11 +33,7 @@ EXIT_UNKNOWN = 3
 
 def _order_cap() -> Optional[int]:
     raw = os.environ.get("ZDK_ORDER_CAP")
-    try:
-        return int(raw) if raw else None
-    except ValueError:
-        raise ValueError(f"ZDK_ORDER_CAP: expected an integer, "
-                         f"got {raw!r}") from None
+    return non_negative("ZDK_ORDER_CAP", raw, int) if raw else None
 
 
 def _ring(expr: str) -> FiniteRing:
@@ -206,7 +202,7 @@ def _suite_config_from_args(args) -> SuiteConfig:
     cfg = SuiteConfig(suite=args.suite)
     if args.config:
         cfg = apply_config(cfg, parse_config_file(args.config))
-    flags = dict(suite=args.suite, jobs=args.jobs, out=args.out,
+    flags = dict(suite=args.suite, out=args.out,
                  fmt=args.format, max_vertices=args.max_vertices,
                  node_budget=args.node_budget, time_budget=args.time_budget)
     return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
@@ -293,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a formula-vs-solver suite")
     p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--config", help="key = value file with run parameters")
     p.add_argument("--out", help="write the report here")
     p.add_argument("--format", choices=("csv", "md", "json"), default=None)
@@ -321,14 +316,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         # argparse exits 2 on usage errors; keep 2 for mismatches instead
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
+        for name in ("budget", "max_vertices", "node_budget", "time_budget"):
+            value = getattr(args, name, None)
+            if value is not None:  # budgets and caps, typed by argparse
+                non_negative("--" + name.replace("_", "-"), value, type(value))
         return args.func(args)
     except ExprError as err:
         _print_expr_error(err)
         return EXIT_USAGE
-    except CapacityError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError) as err:
+    except (OSError, ValueError) as err:  # CapacityError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -10,6 +10,8 @@ that do run, the status is derived deterministically:
 
 * exact prediction v      -> MATCH iff the solver returns size v,
 * bounds [lo, hi]         -> WITHIN_BOUNDS iff lo <= size <= hi,
+* count bound [0, A]      -> WITHIN_BOUNDS iff |Z(R)| <= A (the bounds
+                             family, whose ``solved`` column is |Z(R)|),
 * oracle infeasible       -> MATCH iff the solver agrees,
 * anything else           -> MISMATCH.
 
@@ -25,7 +27,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Optional, Sequence, Union
@@ -33,9 +34,9 @@ from typing import Callable, Optional, Sequence, Union
 from . import formulas
 from .expressions import build_ring
 from .graphs import ZdGraph, build_graph
-from .rings import FiniteRing, local_structure, zero_divisors
-from .solver import (AllianceProblem, AllianceSolution, BudgetExceeded,
-                     oracle_spectrum, solve, spectrum)
+from .rings import FiniteRing, is_prime, local_structure, zero_divisors
+from .solver import (ORACLE_MAX_VERTICES, AllianceProblem, AllianceSolution,
+                     BudgetExceeded, oracle_spectrum, solve, spectrum)
 from .solver import oracle_solve  # noqa: F401 - perfbench --trace 1 wraps it
 
 MATCH = "MATCH"
@@ -84,8 +85,7 @@ class SuiteConfig:
     max_vertices: int = 36
     node_budget: Optional[int] = 50_000_000
     time_budget: Optional[float] = 300.0
-    oracle_max: int = 22
-    jobs: int = 1
+    oracle_max: int = ORACLE_MAX_VERTICES
     out: Optional[str] = None
     fmt: str = "csv"
 
@@ -114,6 +114,18 @@ def _number(source: str, value, kind: type):
         raise ValueError(f"{source}: expected {what}, got {value!r}") from None
 
 
+def non_negative(source: str, value, kind: type):
+    """kind(value) when it is at least 0, or a ValueError that names the
+    value's source.  Budgets and caps pass through here; a record's k may be
+    negative and does not."""
+    number = _number(source, value, kind)
+    if not number >= 0:
+        what = "integer" if kind is int else "number"
+        raise ValueError(f"{source}: expected a non-negative {what}, "
+                         f"got {value!r}")
+    return number
+
+
 def apply_config(cfg: SuiteConfig, options: dict[str, str]) -> SuiteConfig:
     updates: dict = {}
     for key, value in options.items():
@@ -121,15 +133,20 @@ def apply_config(cfg: SuiteConfig, options: dict[str, str]) -> SuiteConfig:
             updates["suite"] = value
         elif key == "grid":
             updates["grid"] = value
-        elif key in ("max_vertices", "jobs", "oracle_max"):
-            updates[key] = _number(f"config key {key!r}", value, int)
+        elif key in ("max_vertices", "oracle_max"):
+            updates[key] = non_negative(f"config key {key!r}", value, int)
         elif key in ("node_budget", "time_budget"):
             kind = int if key == "node_budget" else float
             updates[key] = (None if value.lower() == "none"
-                            else _number(f"config key {key!r}", value, kind))
+                            else non_negative(f"config key {key!r}", value,
+                                              kind))
         elif key == "out":
             updates["out"] = value
         elif key == "format":
+            if value not in _EMITTERS:
+                raise ValueError(f"config key 'format': expected one of "
+                                 f"{', '.join(sorted(_EMITTERS))}, "
+                                 f"got {value!r}")
             updates["fmt"] = value
         else:
             raise ValueError(f"unknown config key {key!r}")
@@ -171,7 +188,6 @@ KNOWN_GRAPH_CORPUS = (
 
 
 def field_expr(q: int) -> str:
-    from .rings import is_prime
     return f"Z{q}" if is_prime(q) else f"GF({q})"
 
 
@@ -274,6 +290,28 @@ def _check_oracle(cfg: SuiteConfig, task: RingTask, ring: FiniteRing,
     return records
 
 
+def _count_row(ring: FiniteRing, graph: ZdGraph, zcount: int, params: str,
+               k: int, bound: int,
+               sol: Optional[AllianceSolution] = None) -> VerificationRecord:
+    """One bounds row: |Z(R)| = ``zcount`` checked against ``bound``, with
+    the nodes and time of ``sol``, the solve the bound came from, if any."""
+    return VerificationRecord(
+        family="bounds", params=params, ring=ring.label,
+        vertices=graph.vertex_count, k=k, predicted_kind="bounds",
+        predicted_lo=0, predicted_hi=bound, solved=zcount,
+        status=WITHIN_BOUNDS if zcount <= bound else MISMATCH,
+        nodes=0 if sol is None else sol.nodes,
+        millis=0.0 if sol is None else sol.elapsed * 1000.0)
+
+
+def _common_outside(graph: ZdGraph, mask: int) -> int:
+    """λ: the vertices outside ``mask`` adjacent to every vertex in it."""
+    inter = graph.full_mask
+    for v in graph.vertices_of(mask):
+        inter &= graph.adj[v]
+    return (inter & ~mask).bit_count()
+
+
 def check_cardinality_bounds(ring: FiniteRing, graph: ZdGraph, *,
                              node_budget: Optional[int] = None,
                              time_budget: Optional[float] = None
@@ -284,65 +322,40 @@ def check_cardinality_bounds(ring: FiniteRing, graph: ZdGraph, *,
     in [-max_degree, min_degree] checking |Z(R)| <= 1 + γ² - kγ, a row for
     the min over k, a refinement row built from the k = -1 witness's common
     neighborhood, and for local rings the per-k pair rows plus the max-min
-    row that bounds |Z(R)| for them.
+    row that bounds |Z(R)| for them.  Only the per-k |Z(R)| <= 1 + γ² - kγ
+    rows carry their solve's nodes and millis; the derived rows carry 0.
     """
     zcount = len(zero_divisors(ring))
-    lo, hi = -graph.max_degree, graph.min_degree
+    ks = range(-graph.max_degree, graph.min_degree + 1)
     spect = spectrum(graph, node_budget=node_budget, time_budget=time_budget)
+    row = partial(_count_row, ring, graph, zcount)
     records: list[VerificationRecord] = []
-    base = dict(family="bounds", ring=ring.label, vertices=graph.vertex_count)
     a_values: dict[int, int] = {}
-    for k in range(lo, hi + 1):
+    for k in ks:
         sol = spect[k]
         if not sol.feasible:  # pragma: no cover - k <= min_degree is feasible
             raise RuntimeError(f"k={k} should be feasible up to min degree")
-        a_k = formulas.zero_divisor_count_bound(sol.size, k)
-        a_values[k] = a_k
-        status = WITHIN_BOUNDS if zcount <= a_k else MISMATCH
-        records.append(VerificationRecord(
-            **base, params=f"check=A;gamma={sol.size}", k=k,
-            predicted_kind="bounds", predicted_lo=0, predicted_hi=a_k,
-            solved=zcount, status=status, nodes=sol.nodes,
-            millis=sol.elapsed * 1000.0))
-    min_a = min(a_values.values())
-    records.append(VerificationRecord(
-        **base, params="check=A-min", k=min(a_values, key=a_values.get),
-        predicted_kind="bounds", predicted_lo=0, predicted_hi=min_a,
-        solved=zcount,
-        status=WITHIN_BOUNDS if zcount <= min_a else MISMATCH))
+        a_values[k] = formulas.zero_divisor_count_bound(sol.size, k)
+        records.append(row(f"check=A;gamma={sol.size}", k, a_values[k], sol))
+    min_k = min(a_values, key=a_values.get)
+    records.append(row("check=A-min", min_k, a_values[min_k]))
 
     if -1 in spect:
-        wit = spect[-1].witness
-        inter = graph.full_mask
-        for v in graph.vertices_of(wit):
-            inter &= graph.adj[v]
-        lam = (inter & ~wit).bit_count()
-        refined = formulas.zero_divisor_count_bound(spect[-1].size, -1, lam)
-        records.append(VerificationRecord(
-            **base, params=f"check=A-refined;lambda={lam};gamma={spect[-1].size}",
-            k=-1, predicted_kind="bounds", predicted_lo=0, predicted_hi=refined,
-            solved=zcount,
-            status=WITHIN_BOUNDS if zcount <= refined else MISMATCH))
+        sol = spect[-1]
+        lam = _common_outside(graph, sol.witness)
+        refined = formulas.zero_divisor_count_bound(sol.size, -1, lam)
+        records.append(row(f"check=A-refined;lambda={lam};gamma={sol.size}",
+                           -1, refined))
 
     if local_structure(ring) is not None:
         b_values, c_values = {}, {}
-        for k in range(lo, hi + 1):
-            sol = spect[k]
-            b_k, c_k = formulas.local_count_bounds(sol.size, k)
+        for k in ks:
+            b_k, c_k = formulas.local_count_bounds(spect[k].size, k)
             b_values[k], c_values[k] = b_k, c_k
-            records.append(VerificationRecord(
-                **base, params=f"check=BC;B={b_k};C={c_k}", k=k,
-                predicted_kind="bounds", predicted_lo=0,
-                predicted_hi=max(b_k, c_k), solved=zcount,
-                status=WITHIN_BOUNDS if zcount <= max(b_k, c_k) else MISMATCH))
-        cap = max(min(b_values.values()), min(c_values.values()))
-        records.append(VerificationRecord(
-            **base,
-            params=(f"check=BC-max-min;minB={min(b_values.values())};"
-                    f"minC={min(c_values.values())}"),
-            k=0, predicted_kind="bounds", predicted_lo=0, predicted_hi=cap,
-            solved=zcount,
-            status=WITHIN_BOUNDS if zcount <= cap else MISMATCH))
+            records.append(row(f"check=BC;B={b_k};C={c_k}", k, max(b_k, c_k)))
+        min_b, min_c = min(b_values.values()), min(c_values.values())
+        records.append(row(f"check=BC-max-min;minB={min_b};minC={min_c}", 0,
+                           max(min_b, min_c)))
     return records
 
 
@@ -373,20 +386,12 @@ def _check_pinned(cfg: SuiteConfig, task: RingTask, ring: FiniteRing,
     # which the graph tests pin separately; the row records that even this
     # set's arithmetic lands exactly on |Z(R)|.
     mask = graph.mask_of_elements((4, 6))
-    inter = graph.full_mask
-    for v in graph.vertices_of(mask):
-        inter &= graph.adj[v]
-    lam = (inter & ~mask).bit_count()
+    lam = _common_outside(graph, mask)
     refined = formulas.zero_divisor_count_bound(mask.bit_count(), -1, lam)
-    zcount = len(zero_divisors(ring))
     labels = ",".join(graph.labels_of(mask))
-    return [VerificationRecord(
-        family=task.family,
-        params=f"check=A-refined-pinned;set={labels};lambda={lam}",
-        ring=ring.label, vertices=graph.vertex_count, k=-1,
-        predicted_kind="bounds", predicted_lo=0, predicted_hi=refined,
-        solved=zcount,
-        status=WITHIN_BOUNDS if zcount <= refined else MISMATCH)]
+    return [_count_row(ring, graph, len(zero_divisors(ring)),
+                       f"check=A-refined-pinned;set={labels};lambda={lam}",
+                       -1, refined)]
 
 
 _CHECKS: dict[str, Callable[..., list[VerificationRecord]]] = {
@@ -549,16 +554,7 @@ def run_suite(cfg: SuiteConfig) -> list[VerificationRecord]:
     except KeyError:
         raise ValueError(f"unknown suite {cfg.suite!r}; "
                          f"choose from {sorted(SUITES)}") from None
-    tasks = builder(cfg)
-    run = partial(_run_task, cfg)
-    records: list[VerificationRecord] = []
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            for chunk in pool.map(run, tasks):
-                records.extend(chunk)
-    else:
-        for task in tasks:
-            records.extend(run(task))
+    records = [rec for task in builder(cfg) for rec in _run_task(cfg, task)]
     records.sort(key=_record_sort_key)
     return records
 
@@ -577,18 +573,8 @@ def summarize(records: Sequence[VerificationRecord]) -> dict[str, int]:
 
 def records_to_dicts(records: Sequence[VerificationRecord]) -> list[dict]:
     """Records as JSON-ready rows in report order; see records_from_dicts."""
-    out = []
-    for rec in sorted(records, key=_record_sort_key):
-        row = {
-            "family": rec.family, "params": rec.params, "ring": rec.ring,
-            "vertices": rec.vertices, "k": rec.k,
-            "predicted_kind": rec.predicted_kind,
-            "predicted_lo": rec.predicted_lo, "predicted_hi": rec.predicted_hi,
-            "solved": rec.solved, "status": rec.status, "reason": rec.reason,
-            "nodes": rec.nodes, "millis": round(rec.millis, 3),
-        }
-        out.append(row)
-    return out
+    return [dict(vars(rec), millis=round(rec.millis, 3))
+            for rec in sorted(records, key=_record_sort_key)]
 
 
 def _row_number(index: int, row: dict, key: str, kind: type, default=None):

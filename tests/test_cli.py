@@ -1,11 +1,17 @@
 """Command line behavior: output shapes and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from zdalliance import formulas
 from zdalliance.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -129,8 +135,38 @@ def test_verify_grid_parse_error_points_into_grid_entry(capsys, tmp_path):
      "config key 'time_budget': expected a number, got 'soon'"),
     (["ring-info", "Z4"], None, "abc",
      "ZDK_ORDER_CAP: expected an integer, got 'abc'"),
+    (["ring-info", "Z4"], None, "-5",
+     "ZDK_ORDER_CAP: expected a non-negative integer, got '-5'"),
+    (["solve", "Z12", "-k", "0", "--budget", "-3"], None, None,
+     "--budget: expected a non-negative integer, got -3"),
+    (["spectrum", "Z9", "--budget", "-1"], None, None,
+     "--budget: expected a non-negative integer, got -1"),
+    (["verify", "tables", "--node-budget", "-1"], None, None,
+     "--node-budget: expected a non-negative integer, got -1"),
+    (["verify", "tables", "--time-budget", "-0.5"], None, None,
+     "--time-budget: expected a non-negative number, got -0.5"),
+    (["verify", "tables", "--max-vertices", "-4"], None, None,
+     "--max-vertices: expected a non-negative integer, got -4"),
+    (["verify", "zpn"], "max_vertices = -4", None,
+     "config key 'max_vertices': expected a non-negative integer, got '-4'"),
+    (["verify", "tables"], "oracle_max = -1", None,
+     "config key 'oracle_max': expected a non-negative integer, got '-1'"),
+    (["verify", "tables"], "node_budget = -1", None,
+     "config key 'node_budget': expected a non-negative integer, got '-1'"),
+    (["verify", "tables"], "time_budget = -2.5", None,
+     "config key 'time_budget': expected a non-negative number, got '-2.5'"),
+    (["verify", "tables"], "time_budget = nan", None,
+     "config key 'time_budget': expected a non-negative number, got 'nan'"),
+    (["verify", "tables"], "format = xml", None,
+     "config key 'format': expected one of csv, json, md, got 'xml'"),
+    (["verify", "tables"], "jobs = 2", None, "unknown config key 'jobs'"),
 ], ids=["pair-grid-one-value", "pair-grid-three-values", "int-grid",
-        "config-int", "config-node-budget", "config-float", "order-cap-env"])
+        "config-int", "config-node-budget", "config-float", "order-cap-env",
+        "order-cap-env-negative", "solve-budget", "spectrum-budget",
+        "node-budget-flag", "time-budget-flag", "max-vertices-flag",
+        "config-max-vertices", "config-oracle-max",
+        "config-node-budget-negative", "config-time-budget-negative",
+        "config-time-budget-nan", "config-format", "config-jobs"])
 def test_malformed_run_parameter_names_its_source(
         capsys, tmp_path, monkeypatch, argv, config, order_cap, message):
     if config is not None:
@@ -164,6 +200,18 @@ def test_order_cap_env(capsys, monkeypatch):
 def test_unknown_subcommand_exit_1(capsys):
     assert main(["frobnicate"]) == 1
     assert main([]) == 1
+    assert main(["verify", "tables", "--jobs", "2"]) == 1
+
+
+def test_cli_import_starts_no_process_machinery():
+    # `import zdalliance.cli` is the benchmark's setup_s; a process pool
+    # costs it tens of milliseconds and about 2 MB
+    probe = ("import sys, zdalliance.cli; print(sorted(m for m in "
+             "('concurrent.futures', 'multiprocessing') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_spectrum_text(capsys):

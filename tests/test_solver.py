@@ -481,7 +481,8 @@ def _milp_size(g, k):
     lower = [1] * n + [0] * n
     res = optimize.milp(c=[1] * n, integrality=[1] * n,
                         bounds=optimize.Bounds(0, 1),
-                        constraints=optimize.LinearConstraint(a, lower))
+                        constraints=optimize.LinearConstraint(a, lower),
+                        options={"mip_rel_gap": 0})
     if res.status == 2:
         return None
     assert res.status == 0, res.message

@@ -102,18 +102,6 @@ def test_summarize():
                  "MISMATCH": 0, "SKIPPED": 0}
 
 
-def test_jobs_match_sequential():
-    # tables, bounds and this known_graphs grid (Z81 is over the oracle
-    # cap) run every check kind through the process pool
-    key = lambda r: (r.family, r.params, r.ring, r.k, r.status, r.solved,
-                     r.reason, r.nodes)
-    for suite, grid in [("tables", None), ("bounds", None),
-                        ("known_graphs", "Z12; Z8; Z81")]:
-        a = run_suite(SuiteConfig(suite=suite, grid=grid))
-        b = run_suite(SuiteConfig(suite=suite, grid=grid, jobs=2))
-        assert list(map(key, a)) == list(map(key, b)), suite
-
-
 def test_each_task_ring_builds_its_graph_once(monkeypatch):
     calls = []
 
@@ -202,7 +190,6 @@ def test_config_file(tmp_path):
     cfg_file.write_text(
         "# a comment\n"
         "suite = zpn\n"
-        "jobs = 2\n"
         "max_vertices = 40   # trailing comment\n"
         "node_budget = 1000000\n"
         "time_budget = 60\n"
@@ -211,7 +198,6 @@ def test_config_file(tmp_path):
     options = parse_config_file(str(cfg_file))
     cfg = apply_config(SuiteConfig(suite="tables"), options)
     assert cfg.suite == "zpn"
-    assert cfg.jobs == 2
     assert cfg.max_vertices == 40
     assert cfg.node_budget == 1000000
     assert cfg.time_budget == 60.0
