@@ -17,8 +17,7 @@ from typing import Optional
 
 from .expressions import ExprError, build_ring
 from .graphs import NoGraphError, build_graph
-from .rings import (CapacityError, FiniteRing, local_structure, nilradical,
-                    units, zero_divisors)
+from .rings import CapacityError, FiniteRing, nilradical, zero_divisors
 from .solver import (AllianceProblem, BudgetExceeded, oracle_solve,
                      oracle_spectrum, solve, spectrum)
 from .verify import (MISMATCH, SuiteConfig, SUITES, apply_config, emit_report,
@@ -57,34 +56,33 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
 
 def cmd_ring_info(args) -> int:
     ring = _ring(args.expr)
-    zds = zero_divisors(ring)
-    us = units(ring)
+    zcount = len(zero_divisors(ring))
     nil = nilradical(ring)
-    struct = local_structure(ring)
+    index = ring.local_index
     payload = {
         "expr": args.expr,
         "ring": ring.label,
         "order": ring.order,
-        "units": len(us),
-        "zero_divisors": len(zds),
+        "units": ring.order - zcount,
+        "zero_divisors": zcount,
         "nilradical": len(nil),
         "is_reduced": len(nil) == 1,
-        "is_field": len(zds) == 1,
-        "is_local": struct is not None,
+        "is_field": zcount == 1,
+        "is_local": index is not None,
     }
     lines = [f"ring: {ring.label}",
              f"order: {ring.order}",
-             f"units: {len(us)}",
-             f"zero divisors (with 0): {len(zds)}",
+             f"units: {payload['units']}",
+             f"zero divisors (with 0): {zcount}",
              f"nilradical size: {len(nil)}",
              f"reduced: {'yes' if payload['is_reduced'] else 'no'}",
              f"field: {'yes' if payload['is_field'] else 'no'}",
              f"local: {'yes' if payload['is_local'] else 'no'}"]
-    if struct is not None:
-        payload["maximal_ideal"] = len(struct.maximal_ideal)
-        payload["nilpotency_index"] = struct.nilpotency_index
-        lines.append(f"maximal ideal size: {len(struct.maximal_ideal)}")
-        lines.append(f"nilpotency index: {struct.nilpotency_index}")
+    if index is not None:  # the maximal ideal is the set of zero divisors
+        payload["maximal_ideal"] = zcount
+        payload["nilpotency_index"] = index
+        lines.append(f"maximal ideal size: {zcount}")
+        lines.append(f"nilpotency index: {index}")
     try:
         graph = build_graph(ring)
         edges = sum(graph.adj[v].bit_count() for v in range(graph.vertex_count)) // 2

@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .rings import FiniteRing, is_prime, make_gf, make_idealization, make_product, make_zn
+from .rings import (FiniteRing, is_prime, make_gf, make_idealization,
+                    make_product, make_zn, prime_power)
 
 
 class ExprError(ValueError):
@@ -62,23 +63,6 @@ class Idealization:
 
 
 RingExpr = Union[Zn, GF, Product, Idealization]
-
-
-def _factor_prime_power(q: int) -> Optional[tuple[int, int]]:
-    if q < 2:
-        return None
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        return (q, 1)
-    k = 0
-    while q % p == 0:
-        q //= p
-        k += 1
-    return (p, k) if q == 1 else None
 
 
 class _Parser:
@@ -143,7 +127,7 @@ class _Parser:
                         f"GF degree must be >= 1, got {second}", soff, self.text)
                 return GF(first, second)
             self.expect(")")
-            pk = _factor_prime_power(first)
+            pk = prime_power(first)
             if pk is None:
                 raise ExprSemanticError(
                     f"GF order {first} is not a prime power", foff, self.text)

@@ -4,28 +4,32 @@ Every ring places its elements on the ids ``0 .. order-1`` with id 0 the
 additive identity.  A ring is a frozen record of its construction's own
 functions: ``ring.mul(a, b)`` calls the construction's multiplication
 directly, so memory stays linear in the order.  Each construction also
-decides its own units (``ring.is_unit``) and lists its own annihilators
-(``ring.ann``); every element of a finite commutative ring is a unit or a
-zero divisor, so ``zero_divisors``, ``units`` and ``annihilator`` read
-them off those two functions and never call ``ring.mul``.  Four
-constructions are provided:
+decides its own units (``ring.is_unit``), lists its own annihilators
+(``ring.ann``) and states its own local structure (``ring.local_index``,
+the least t with M^t = 0 for the maximal ideal M of a local ring, None
+when the ring is not local); every element of a finite commutative ring
+is a unit or a zero divisor, so ``zero_divisors``, ``units``,
+``annihilator`` and ``local_structure`` read them off those fields and
+never call ``ring.mul``.  Four constructions are provided:
 
 * ``make_zn(n)``        -- residues modulo ``n``; id i is the residue i,
                            a unit iff gcd(i, n) = 1; Ann(i) is the
-                           multiples of n / gcd(i, n).
+                           multiples of n / gcd(i, n).  Local iff
+                           n = p^e, with M = (p) and local index e.
 * ``make_gf(p, k)``     -- the field of order p**k, as polynomials modulo
                            the lexicographically smallest monic irreducible
                            of degree k (ids encode coefficients base p, so
                            id 1 is the constant polynomial 1); every
                            nonzero element is a unit, so Ann(0) is the
-                           field and Ann(a) = {0} otherwise.
+                           field and Ann(a) = {0} otherwise.  Local with
+                           M = 0, so local index 1.
 * ``make_product(fs)``  -- componentwise arithmetic; ids are the mixed-radix
                            encoding of component ids, first factor most
                            significant.  The multiplicative identity of a
                            product is ``ring.one``, which is not id 1.  An
                            element is a unit iff every component is, and
                            Ann(x) is the product of the components'
-                           annihilators.
+                           annihilators.  Never local (local index None).
 * ``make_idealization(R, r)`` -- R (+) R**r with (a,n)(b,m) = (ab, am+bn);
                            the module part squares to zero.  Ids place the
                            base component least significant, so the
@@ -33,7 +37,8 @@ constructions are provided:
                            a unit iff a is, with inverse (a^-1, -a^-2 n).
                            Ann((a, n)) is every (b, m) with b in Ann_R(a)
                            and a*m_i = -b*n_i in each coordinate, read off
-                           a table of the preimages of m -> a*m.
+                           a table of the preimages of m -> a*m.  Local iff
+                           R is, with local index one more than R's.
 
 Constructions are pure and deterministic: the same parameters always yield
 the same element encoding, which downstream layers rely on for stable
@@ -81,7 +86,9 @@ class FiniteRing:
 
     ``add``/``mul``/``neg``/``is_unit``/``ann`` are total over
     ``0 <= id < order``.  ``ann(x)`` yields, once each and in no set order,
-    the ids of every y with xy = 0.
+    the ids of every y with xy = 0.  ``local_index`` is the least t with
+    M^t = 0 when the ring is local with maximal ideal M, and None when it
+    is not local.
     ``one`` is the id of the multiplicative identity (1 except for direct
     products and idealizations over them, whose encoding is fixed by the
     mixed-radix contract).  Equality and hashing are by identity.
@@ -95,14 +102,11 @@ class FiniteRing:
     label: str
     is_unit: Callable[[int], bool]
     ann: Callable[[int], Iterable[int]]
+    local_index: Optional[int]
     element_label: Callable[[int], str] = str
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
-
-    @property
-    def elements(self) -> range:
-        return range(self.order)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"FiniteRing({self.label!r}, order={self.order})"
@@ -117,6 +121,7 @@ def make_zn(n: int, order_cap: Optional[int] = None) -> FiniteRing:
     if n < 2:
         raise ValueError(f"Z_n needs n >= 2, got {n}")
     _capped_order((n,), order_cap, f"Z{n}")
+    pe = prime_power(n)
     return FiniteRing(
         n,
         add=lambda a, b: (a + b) % n,
@@ -126,6 +131,8 @@ def make_zn(n: int, order_cap: Optional[int] = None) -> FiniteRing:
         label=f"Z{n}",
         is_unit=lambda a: gcd(a, n) == 1,
         ann=lambda a: range(0, n, n // gcd(a, n)),
+        # local iff n = p^e; M = (p), and M^t = (p^t) is zero first at t = e
+        local_index=None if pe is None else pe[1],
     )
 
 
@@ -142,6 +149,24 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def prime_power(q: int) -> Optional[tuple[int, int]]:
+    """(p, k) with q = p**k and p prime, or None when q is no prime power."""
+    if q < 2:
+        return None
+    p = 2
+    while p * p <= q:
+        if q % p == 0:
+            break
+        p += 1
+    else:
+        return (q, 1)
+    k = 0
+    while q % p == 0:
+        q //= p
+        k += 1
+    return (p, k) if q == 1 else None
 
 
 def _digits(v: int, p: int, k: int) -> list[int]:
@@ -235,8 +260,9 @@ def make_gf(p: int, k: int = 1, order_cap: Optional[int] = None) -> FiniteRing:
         return v
 
     whole = range(q)
+    # a field is local with M = 0, so M^1 = 0
     return FiniteRing(q, add, mul, neg, 1, f"GF({q})", lambda a: a != 0,
-                      lambda a: (0,) if a else whole)
+                      lambda a: (0,) if a else whole, 1)
 
 
 def make_product(factors: Sequence[FiniteRing],
@@ -292,7 +318,8 @@ def make_product(factors: Sequence[FiniteRing],
         return "(" + ",".join(parts) + ")"
 
     one = join([f.one for f in factors])
-    return FiniteRing(order, add, mul, neg, one, label, is_unit, ann,
+    # never local: the component identities are nontrivial idempotents
+    return FiniteRing(order, add, mul, neg, one, label, is_unit, ann, None,
                       element_label)
 
 
@@ -356,8 +383,10 @@ def make_idealization(base: FiniteRing, rank: int = 1,
         mods = ",".join(base.element_label(u) for u in n)
         return f"({base.element_label(a)}; {mods})"
 
+    # M = M_R (+) R^r, M^t = M_R^t (+) M_R^(t-1) R^r: zero one step after M_R
+    index = None if base.local_index is None else base.local_index + 1
     return FiniteRing(order, add, mul, neg, base.one, label,
-                      lambda x: base.is_unit(x % o), ann, element_label)
+                      lambda x: base.is_unit(x % o), ann, index, element_label)
 
 
 # ---------------------------------------------------------------------------
@@ -420,64 +449,16 @@ def is_reduced(ring: FiniteRing) -> bool:
 class LocalStructure:
     """Maximal ideal of a local ring and the least t with M**t = 0."""
     maximal_ideal: frozenset[int]
-    nilpotency_index: Optional[int]
-
-
-def _additive_span(ring: FiniteRing, seed: Iterable[int]
-                   ) -> tuple[frozenset[int], list[int]]:
-    """The additive subgroup generated by ``seed``, and the members of seed
-    taken as its generators.
-
-    A seed element outside the span so far becomes a generator, and the
-    span H grows to H + <x> by walking the cosets H + x, H + 2x, ... until
-    one lands back in H.  The span at least doubles with each generator,
-    so building it costs fewer than twice its size in ``add`` calls.
-    """
-    add = ring.add
-    span = {0}
-    gens = []
-    for x in seed:
-        if x in span:
-            continue
-        gens.append(x)
-        coset = list(span)
-        while True:
-            coset = [add(a, x) for a in coset]
-            if coset[0] in span:
-                break
-            span.update(coset)
-    return frozenset(span), gens
+    nilpotency_index: int
 
 
 def local_structure(ring: FiniteRing) -> Optional[LocalStructure]:
     """Maximal ideal and nilpotency index when the ring is local, else None.
 
-    A ring is local exactly when 1 - a is a unit for every non-unit a; the
-    non-units (the zero divisors, in a finite ring) then form the unique
-    maximal ideal.  That test costs one ``sub`` per zero divisor and no
-    ``mul``.  The nilpotency index is the least t with M^t = 0.  By
-    bilinearity M·I is the additive span of the products g·h over additive
-    generators g of M and h of I, so each power multiplies only those
-    generators, not every pair of elements.
+    Each construction states whether its ring is local and the index in
+    ``ring.local_index``; the maximal ideal of a local ring is its set of
+    non-units, the zero divisors.  Multiplies nothing.
     """
-    m = zero_divisors(ring)
-    one, sub, is_unit = ring.one, ring.sub, ring.is_unit
-    if not all(is_unit(sub(one, a)) for a in m):
+    if ring.local_index is None:
         return None
-    zero_only = frozenset({0})
-    if m == zero_only:
-        return LocalStructure(m, 1)
-    mul = ring.mul
-    m_gens = _additive_span(ring, m)[1]
-    power, power_gens = m, m_gens
-    index = 1
-    while index <= ring.order:
-        if power == zero_only:
-            return LocalStructure(m, index)
-        nxt, nxt_gens = _additive_span(
-            ring, [mul(a, b) for a in m_gens for b in power_gens])
-        if nxt == power:
-            return LocalStructure(m, None)
-        power, power_gens = nxt, nxt_gens
-        index += 1
-    return LocalStructure(m, None)  # pragma: no cover - cap never hit for local rings
+    return LocalStructure(zero_divisors(ring), ring.local_index)

@@ -18,8 +18,9 @@ that do run, the status is derived deterministically:
 Zero MISMATCH rows is the headline regression signal.  Reports are emitted
 as CSV (fixed column set), Markdown (one table per ring: k, the solved
 alliance number, the zero-divisor count bound it implies, prediction,
-status), or JSON (one array, stable keys).  Output is deterministic modulo
-the millis column.
+status; a bounds-family row leaves the alliance number empty and shows its
+params and |Z(R)| as its prediction), or JSON (one array, stable keys).
+Output is deterministic modulo the millis column.
 """
 
 from __future__ import annotations
@@ -636,16 +637,24 @@ def _emit_markdown(records: Sequence[VerificationRecord]) -> str:
         lines.append("| k | gamma_k_d | count_bound | predicted | status |")
         lines.append("|--:|--:|--:|:--|:--|")
         for rec in sorted(by_ring[ring_label], key=lambda r: (r.k, r.params)):
-            if isinstance(rec.solved, int):
+            predicted = _predicted_repr(rec)
+            if rec.family == "bounds":
+                # solved is |Z(R)|, not an alliance number
+                solved = ""
+                bound = "" if rec.predicted_hi is None else str(rec.predicted_hi)
+                if rec.solved is None:
+                    predicted = rec.params
+                else:
+                    predicted = f"{rec.params}; #Z(R)={rec.solved} in {predicted}"
+            elif isinstance(rec.solved, int):
                 solved = str(rec.solved)
-                bound = str(formulas.zero_divisor_count_bound(rec.solved, rec.k)) \
-                    if rec.family != "bounds" else str(rec.predicted_hi)
+                bound = str(formulas.zero_divisor_count_bound(rec.solved, rec.k))
             else:
                 solved = rec.solved or ""
                 bound = ""
             status = rec.status if not rec.reason else f"{rec.status}({rec.reason})"
             lines.append(f"| {rec.k} | {solved} | {bound} | "
-                         f"{_predicted_repr(rec)} | {status} |")
+                         f"{predicted} | {status} |")
         lines.append("")
     return "\n".join(lines)
 

@@ -2,7 +2,8 @@
 
 A private name is one with a single leading underscore (dunders are
 public protocol).  Only ``self`` and ``cls`` may reach them through an
-attribute; a module's own private functions are called by bare name.
+attribute, and no ``from ... import`` may name one; a module's own
+private functions are called by bare name.
 """
 
 import ast
@@ -14,14 +15,19 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "zdalliance"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def _foreign_private_reads(path: Path) -> list[str]:
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = []
     for node in ast.walk(tree):
-        if not isinstance(node, ast.Attribute):
+        if isinstance(node, ast.ImportFrom):
+            found += [f"{path.name}:{node.lineno}: import {alias.name}"
+                      for alias in node.names if _is_private(alias.name)]
             continue
-        name = node.attr
-        if not name.startswith("_") or name.startswith("__"):
+        if not isinstance(node, ast.Attribute) or not _is_private(node.attr):
             continue
         owner = node.value
         if isinstance(owner, ast.Name) and owner.id in ("self", "cls"):

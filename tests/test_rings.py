@@ -12,6 +12,7 @@ from zdalliance import (CapacityError, annihilator, build_ring, is_prime,
                         make_idealization, make_product, make_zn, nilradical,
                         units, zero_divisors)
 
+from local_reference import span_local_structure
 from ring_axioms import verify_ring_axioms
 
 AXIOM_CORPUS = ["Z2", "Z12", "Z16", "GF(4)", "GF(8)", "GF(9)", "GF(25)",
@@ -175,6 +176,7 @@ def test_local_structure():
     assert len(s9.maximal_ideal) == 3
     assert local_structure(make_zn(6)) is None
     assert local_structure(build_ring("Z2 x Z2")) is None
+    assert local_structure(build_ring("Id(Z2 x Z2, 1)")) is None
 
 
 def test_local_structure_of_fields():
@@ -240,8 +242,10 @@ def test_local_against_nonunit_ideal_oracle(expr):
         assert struct is None
 
 
+# In Id(Id(Z2, 1), 1) every element of M squares to 0, but M^2 != 0.
 @pytest.mark.parametrize("expr", ["Z4", "Z8", "Z9", "Z25", "Id(Z3, 1)",
-                                  "Id(Z2, 2)", "GF(8)"])
+                                  "Id(Z2, 2)", "GF(8)", "Id(Id(Z2, 1), 1)",
+                                  "Id(Z4, 1)"])
 def test_nilpotency_index_oracle(expr):
     # M^t = 0 iff every t-fold product of elements of M vanishes
     r = build_ring(expr)
@@ -388,6 +392,25 @@ def test_dichotomy_property(expr):
         assert r.mul(r.one, x) == x
     closed = all(r.add(a, b) in nonunits for a in nonunits for b in nonunits)
     assert (local_structure(r) is not None) == closed
+
+
+def _same_local_structure(expr):
+    ring = build_ring(expr)
+    assert local_structure(ring) == span_local_structure(ring), expr
+
+
+# the perfbench ladder rings, and idealizations nested two deep
+@pytest.mark.parametrize("expr", [
+    "Z30", "Z2 x Z9", "Z64", "Z2 x GF(4) x Z5", "Z210", "Z1024", "Z4096",
+    "Id(Id(Z2, 1), 1)", "Id(Id(Z3, 1), 1)", "Id(Id(Z2, 1), 2)"])
+def test_local_structure_matches_span_reference(expr):
+    _same_local_structure(expr)
+
+
+@given(ring_exprs())
+@settings(max_examples=60, deadline=None)
+def test_local_structure_matches_span_reference_property(expr):
+    _same_local_structure(expr)
 
 
 def _counting_mul(ring):

@@ -158,6 +158,28 @@ def test_markdown_groups_by_ring():
     assert "| k | gamma_k_d | count_bound | predicted | status |" in md
 
 
+def _table_rows(md: str) -> list[list[str]]:
+    return [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in md.splitlines()
+            if line.startswith("| ") and not line.startswith("| k ")]
+
+
+def test_markdown_bounds_rows():
+    # a bounds row's solved value is |Z(R)|, not an alliance number: it goes
+    # to the predicted cell with the params that tell the rows apart
+    records = run_suite(SuiteConfig(suite="bounds", grid="Z12"))
+    rows = _table_rows(emit_report(records, "md"))
+    assert len(rows) == len(records)
+    assert all(gamma == "" for _, gamma, *_ in rows)
+    assert len({tuple(row) for row in rows}) == len(rows)
+    assert ["-2", "", "9", "check=A-min; #Z(R)=8 in [0, 9]",
+            "WITHIN_BOUNDS"] in rows
+    skipped = run_suite(SuiteConfig(suite="bounds", grid="Z64",
+                                    max_vertices=10))
+    assert ["0", "", "", "check=A", "SKIPPED(vertex-cap(31))"] in \
+        _table_rows(emit_report(skipped, "md"))
+
+
 def test_json_round_trip():
     records = run_suite(SuiteConfig(suite="tables"))
     text = emit_report(records, "json")
