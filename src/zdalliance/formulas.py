@@ -2,12 +2,18 @@
 
 Each ``predict_*`` function is pure arithmetic over ring/graph parameters
 and never consults the solver; the verification layer compares the two.
-Predictions come in three kinds:
+Predictions come in four kinds:
 
 * ``exact``        -- the alliance number equals ``value``;
 * ``bounds``       -- the alliance number lies in ``[lower, upper]``;
+* ``infeasible``   -- no global defensive k-alliance exists (the oracle's
+                      verdict; no formula states one);
 * ``out_of_range`` -- the k requested is outside the stated validity
                       interval of every applicable case.
+
+A family's k range is stated here only: the verification layer checks a
+formula at exactly the k in [-max_degree, max_degree] it does not call
+``out_of_range``.
 
 Stated k-intervals are treated literally: an interval [a, b] with a > b is
 empty, the cases of one family partition its stated range, and precedence
@@ -29,7 +35,7 @@ def _ceil_div(a: int, b: int) -> int:
 
 @dataclass(frozen=True)
 class Prediction:
-    kind: str  # "exact" | "bounds" | "out_of_range"
+    kind: str  # "exact" | "bounds" | "infeasible" | "out_of_range"
     value: Optional[int] = None
     lower: Optional[int] = None
     upper: Optional[int] = None
@@ -43,7 +49,7 @@ class Prediction:
             if self.lower is None or self.upper is None or self.lower > self.upper:
                 raise ValueError(f"bounds must satisfy lower <= upper, got "
                                  f"[{self.lower}, {self.upper}]")
-        elif self.kind != "out_of_range":
+        elif self.kind not in ("infeasible", "out_of_range"):
             raise ValueError(f"unknown prediction kind {self.kind!r}")
 
 
@@ -53,6 +59,10 @@ def exact(value: int, source: str) -> Prediction:
 
 def bounds(lower: int, upper: int, source: str) -> Prediction:
     return Prediction("bounds", lower=lower, upper=upper, source=source)
+
+
+def infeasible(source: str) -> Prediction:
+    return Prediction("infeasible", source=source)
 
 
 def out_of_range(source: str) -> Prediction:

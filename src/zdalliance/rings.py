@@ -137,18 +137,7 @@ def make_zn(n: int, order_cap: Optional[int] = None) -> FiniteRing:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return prime_power(n) == (n, 1)
 
 
 def prime_power(q: int) -> Optional[tuple[int, int]]:

@@ -2,17 +2,22 @@
 
 A suite is a list of per-ring :class:`RingTask`s.  Each task builds its
 ring and zero-divisor graph once and runs one check over that ring's k
-values; every (ring, k) cell still yields exactly one
-:class:`VerificationRecord`.  Cells that cannot run (graph above the vertex
-cap, k outside a formula's stated range, solver budget exhausted, oracle
-capped) are reported as SKIPPED with a reason, never dropped.  For cells
-that do run, the status is derived deterministically:
+values; every (ring, k) cell yields exactly one
+:class:`VerificationRecord`.  Every solver answer comes from one
+:func:`~zdalliance.solver.spectrum` per ring, whose time budget covers the
+whole ring.  A formula task's cells are the k in [-max_degree, max_degree]
+its formula does not call ``out_of_range``; an oracle task's cells are the
+k of one ``oracle_spectrum``.  Cells that cannot run (graph above the
+vertex cap, the ring's spectrum out of budget, oracle capped) are reported
+as SKIPPED with a reason, never dropped; a budget skip covers every cell
+of its ring.  For cells that do run, the status is derived
+deterministically:
 
 * exact prediction v      -> MATCH iff the solver returns size v,
 * bounds [lo, hi]         -> WITHIN_BOUNDS iff lo <= size <= hi,
 * count bound [0, A]      -> WITHIN_BOUNDS iff |Z(R)| <= A (the bounds
                              family, whose ``solved`` column is |Z(R)|),
-* oracle infeasible       -> MATCH iff the solver agrees,
+* infeasible (the oracle) -> MATCH iff the solver agrees,
 * anything else           -> MISMATCH.
 
 Zero MISMATCH rows is the headline regression signal.  Reports are emitted
@@ -36,9 +41,10 @@ from . import formulas
 from .expressions import build_ring
 from .graphs import ZdGraph, build_graph
 from .rings import FiniteRing, is_prime, local_structure, zero_divisors
-from .solver import (ORACLE_MAX_VERTICES, AllianceProblem, AllianceSolution,
-                     BudgetExceeded, oracle_spectrum, solve, spectrum)
-from .solver import oracle_solve  # noqa: F401 - perfbench --trace 1 wraps it
+from .solver import (ORACLE_MAX_VERTICES, AllianceSolution, BudgetExceeded,
+                     oracle_spectrum, spectrum)
+# perfbench --trace 1 wraps these two by name
+from .solver import oracle_solve, solve  # noqa: F401
 
 MATCH = "MATCH"
 WITHIN_BOUNDS = "WITHIN_BOUNDS"
@@ -86,7 +92,6 @@ class SuiteConfig:
     max_vertices: int = 36
     node_budget: Optional[int] = 50_000_000
     time_budget: Optional[float] = 300.0
-    oracle_max: int = ORACLE_MAX_VERTICES
     out: Optional[str] = None
     fmt: str = "csv"
 
@@ -134,7 +139,7 @@ def apply_config(cfg: SuiteConfig, options: dict[str, str]) -> SuiteConfig:
             updates["suite"] = value
         elif key == "grid":
             updates["grid"] = value
-        elif key in ("max_vertices", "oracle_max"):
+        elif key == "max_vertices":
             updates[key] = non_negative(f"config key {key!r}", value, int)
         elif key in ("node_budget", "time_budget"):
             kind = int if key == "node_budget" else float
@@ -200,13 +205,13 @@ def field_expr(q: int) -> str:
 class RingTask:
     """One ring of a suite; ``check`` is formula, oracle, bounds or pinned.
 
-    ``cells`` holds a formula suite's (k, prediction) pairs; the other
-    checks take their k range from the graph."""
+    ``predict`` gives a formula task's prediction at each k and so states
+    its k range; the other checks take their k range from the graph."""
     check: str
     expr: str
     family: str
     params: str = ""
-    cells: tuple[tuple[int, formulas.Prediction], ...] = ()
+    predict: Optional[Callable[[int], formulas.Prediction]] = None
 
 
 def _status_for(pred: formulas.Prediction, sol: AllianceSolution) -> str:
@@ -218,77 +223,67 @@ def _status_for(pred: formulas.Prediction, sol: AllianceSolution) -> str:
         if sol.feasible and pred.lower <= sol.size <= pred.upper:
             return WITHIN_BOUNDS
         return MISMATCH
+    if pred.kind == "infeasible":
+        return MISMATCH if sol.feasible else MATCH
     raise ValueError(f"no status for prediction kind {pred.kind!r}")
 
 
-def _solved_repr(sol: AllianceSolution) -> Union[int, str]:
-    return sol.size if sol.feasible else INFEASIBLE
-
-
-def _formula_record(cfg: SuiteConfig, task: RingTask, ring: FiniteRing,
-                    graph: ZdGraph, k: int,
-                    pred: formulas.Prediction) -> VerificationRecord:
-    base = dict(family=task.family, params=task.params,
-                ring=ring.label, vertices=graph.vertex_count, k=k,
-                predicted_kind=pred.kind,
-                predicted_lo=pred.value if pred.kind == "exact" else pred.lower,
-                predicted_hi=pred.value if pred.kind == "exact" else pred.upper)
-    if graph.vertex_count > cfg.max_vertices:
-        return VerificationRecord(**base, solved=None, status=SKIPPED,
-                                  reason=f"vertex-cap({graph.vertex_count})")
-    if pred.kind == "out_of_range":
-        return VerificationRecord(**base, solved=None, status=SKIPPED,
-                                  reason="out-of-stated-range")
-    try:
-        sol = solve(AllianceProblem(graph, k),
-                    node_budget=cfg.node_budget, time_budget=cfg.time_budget)
-    except BudgetExceeded as exc:
-        return VerificationRecord(**base, solved=None, status=SKIPPED,
-                                  reason=f"budget({exc})")
-    return VerificationRecord(**base, solved=_solved_repr(sol),
-                              status=_status_for(pred, sol), nodes=sol.nodes,
-                              millis=sol.elapsed * 1000.0)
+def _alliance_rows(cfg: SuiteConfig, task: RingTask, ring: FiniteRing,
+                   graph: ZdGraph, cells: dict[int, formulas.Prediction],
+                   skip: str = "") -> list[VerificationRecord]:
+    """One record per (k, prediction) of ``cells``, in k order, each checked
+    against one solver spectrum of ``graph``.  Unless ``skip`` gives a
+    reason, the spectrum runs; if it runs out of budget, that becomes the
+    reason.  With a reason, every cell is SKIPPED with it."""
+    if not skip:
+        try:
+            spect = spectrum(graph, node_budget=cfg.node_budget,
+                             time_budget=cfg.time_budget)
+        except BudgetExceeded as exc:
+            skip = f"budget({exc})"
+    records = []
+    for k, pred in sorted(cells.items()):
+        exact = pred.kind == "exact"
+        cell = dict(family=task.family, params=task.params, ring=ring.label,
+                    vertices=graph.vertex_count, k=k, predicted_kind=pred.kind,
+                    predicted_lo=pred.value if exact else pred.lower,
+                    predicted_hi=pred.value if exact else pred.upper)
+        if skip:
+            records.append(VerificationRecord(**cell, solved=None,
+                                              status=SKIPPED, reason=skip))
+            continue
+        sol = spect[k]
+        records.append(VerificationRecord(
+            **cell, solved=sol.size if sol.feasible else INFEASIBLE,
+            status=_status_for(pred, sol), nodes=sol.nodes,
+            millis=sol.elapsed * 1000.0))
+    return records
 
 
 def _check_formula(cfg: SuiteConfig, task: RingTask, ring: FiniteRing,
                    graph: ZdGraph) -> list[VerificationRecord]:
-    return [_formula_record(cfg, task, ring, graph, k, pred)
-            for k, pred in task.cells]
+    """The task's formula at every k in [-max_degree, max_degree] it covers."""
+    deg, n = graph.max_degree, graph.vertex_count
+    cells = {k: pred for k in range(-deg, deg + 1)
+             if (pred := task.predict(k)).kind != "out_of_range"}
+    skip = f"vertex-cap({n})" if n > cfg.max_vertices else ""
+    return _alliance_rows(cfg, task, ring, graph, cells, skip)
 
 
 def _check_oracle(cfg: SuiteConfig, task: RingTask, ring: FiniteRing,
                   graph: ZdGraph) -> list[VerificationRecord]:
     """One oracle enumeration and one solver spectrum for the ring, compared
     at every k in [-max_degree, max_degree]."""
-    base = dict(family=task.family, params=task.params, ring=ring.label,
-                vertices=graph.vertex_count)
-    if graph.vertex_count > cfg.oracle_max:
+    if graph.vertex_count > ORACLE_MAX_VERTICES:
         return [VerificationRecord(
-            **base, k=0, predicted_kind="exact", predicted_lo=None,
-            predicted_hi=None, solved=None, status=SKIPPED,
+            family=task.family, params=task.params, ring=ring.label,
+            vertices=graph.vertex_count, k=0, predicted_kind="exact",
+            predicted_lo=None, predicted_hi=None, solved=None, status=SKIPPED,
             reason=f"oracle-cap({graph.vertex_count})")]
-    refs = oracle_spectrum(graph, max_vertices=cfg.oracle_max)
-    try:
-        spect = spectrum(graph, node_budget=cfg.node_budget,
-                         time_budget=cfg.time_budget)
-    except BudgetExceeded as exc:
-        spect, reason = None, f"budget({exc})"
-    records = []
-    for k, ref in sorted(refs.items()):
-        cell = dict(base, k=k,
-                    predicted_kind="exact" if ref.feasible else "infeasible",
-                    predicted_lo=ref.size, predicted_hi=ref.size)
-        if spect is None:
-            records.append(VerificationRecord(**cell, solved=None,
-                                              status=SKIPPED, reason=reason))
-            continue
-        sol = spect[k]
-        agree = (sol.feasible, sol.size) == (ref.feasible, ref.size)
-        records.append(VerificationRecord(
-            **cell, solved=_solved_repr(sol),
-            status=MATCH if agree else MISMATCH, nodes=sol.nodes,
-            millis=sol.elapsed * 1000.0))
-    return records
+    cells = {k: formulas.exact(ref.size, "oracle") if ref.feasible
+             else formulas.infeasible("oracle")
+             for k, ref in oracle_spectrum(graph).items()}
+    return _alliance_rows(cfg, task, ring, graph, cells)
 
 
 def _count_row(ring: FiniteRing, graph: ZdGraph, zcount: int, params: str,
@@ -436,39 +431,29 @@ def _grid_items(cfg: SuiteConfig, default: Sequence):
     return tuple(s.strip() for s in cfg.grid.split(";") if s.strip())
 
 
-def _formula_task(expr: str, family: str, params: str, ks: range,
-                  predict: Callable[[int], formulas.Prediction]) -> RingTask:
-    return RingTask("formula", expr, family, params,
-                    tuple((k, predict(k)) for k in ks))
+def _pinned(values: dict[int, int], k: int) -> formulas.Prediction:
+    if k in values:
+        return formulas.exact(values[k], "pinned")
+    return formulas.out_of_range("pinned")
 
 
 def _build_tables(cfg: SuiteConfig) -> list[RingTask]:
     return [RingTask("formula", expr, "tables", "pinned-spectrum",
-                     tuple((k, formulas.exact(value, "pinned"))
-                           for k, value in pinned.items()))
-            for expr, pinned in PINNED_SPECTRA.items()]
+                     partial(_pinned, values))
+            for expr, values in PINNED_SPECTRA.items()]
 
 
 def _build_zpn(cfg: SuiteConfig) -> list[RingTask]:
-    tasks = []
-    for p, n in _grid_pairs(cfg, ZPN_GRID):
-        if n == 2:
-            ks = range(2 - p, p - 1)
-        else:
-            ks = range(2 - p ** (n - 1), p)
-        tasks.append(_formula_task(f"Z{p ** n}", "zpn", f"p={p};n={n}", ks,
-                                   partial(formulas.predict_prime_power, p, n)))
-    return tasks
+    return [RingTask("formula", f"Z{p ** n}", "zpn", f"p={p};n={n}",
+                     partial(formulas.predict_prime_power, p, n))
+            for p, n in _grid_pairs(cfg, ZPN_GRID)]
 
 
 def _build_fields(cfg: SuiteConfig) -> list[RingTask]:
-    tasks = []
-    for f, q in _grid_pairs(cfg, FIELD_PAIRS):
-        hi = 1 if f == 2 else f - 1
-        tasks.append(_formula_task(
-            f"{field_expr(f)} x {field_expr(q)}", "two_fields", f"f={f};q={q}",
-            range(1 - q, hi + 1), partial(formulas.predict_two_fields, f, q)))
-    return tasks
+    return [RingTask("formula", f"{field_expr(f)} x {field_expr(q)}",
+                     "two_fields", f"f={f};q={q}",
+                     partial(formulas.predict_two_fields, f, q))
+            for f, q in _grid_pairs(cfg, FIELD_PAIRS)]
 
 
 def _build_z2z2F(cfg: SuiteConfig) -> list[RingTask]:
@@ -478,19 +463,17 @@ def _build_z2z2F(cfg: SuiteConfig) -> list[RingTask]:
             f = int(item)
         except ValueError:
             raise ValueError(f"grid entry {item!r}: expected an integer") from None
-        tasks.append(_formula_task(
-            f"Z2 x Z2 x {field_expr(f)}", "z2z2F", f"f={f}",
-            range(1 - 2 * f, 2), partial(formulas.predict_z2z2_field, f)))
+        tasks.append(RingTask("formula", f"Z2 x Z2 x {field_expr(f)}",
+                              "z2z2F", f"f={f}",
+                              partial(formulas.predict_z2z2_field, f)))
     return tasks
 
 
 def _build_z2FK(cfg: SuiteConfig) -> list[RingTask]:
-    tasks = []
-    for f, q in _grid_pairs(cfg, Z2FK_PAIRS):
-        tasks.append(_formula_task(
-            f"Z2 x {field_expr(f)} x {field_expr(q)}", "z2FK", f"f={f};q={q}",
-            range(1 - f * q, 2), partial(formulas.predict_z2_two_fields, f, q)))
-    return tasks
+    return [RingTask("formula", f"Z2 x {field_expr(f)} x {field_expr(q)}",
+                     "z2FK", f"f={f};q={q}",
+                     partial(formulas.predict_z2_two_fields, f, q))
+            for f, q in _grid_pairs(cfg, Z2FK_PAIRS)]
 
 
 def _build_z2local(cfg: SuiteConfig) -> list[RingTask]:
@@ -502,21 +485,18 @@ def _build_z2local(cfg: SuiteConfig) -> list[RingTask]:
             raise ValueError(f"{base_expr} is not a local non-field ring")
         r, z = base.order, len(struct.maximal_ideal)
         index2 = struct.nilpotency_index == 2
-        tasks.append(_formula_task(
-            f"Z2 x {base_expr}", "z2_local",
-            f"R={base_expr};r={r};z={z};index2={int(index2)}", range(1 - r, 2),
+        tasks.append(RingTask(
+            "formula", f"Z2 x {base_expr}", "z2_local",
+            f"R={base_expr};r={r};z={z};index2={int(index2)}",
             partial(formulas.predict_z2_local, r, z, index2)))
     return tasks
 
 
 def _build_idealizations(cfg: SuiteConfig) -> list[RingTask]:
-    tasks = []
-    for p, n in _grid_pairs(cfg, IDEALIZATION_GRID):
-        m = p ** n
-        tasks.append(_formula_task(
-            f"Id(Z{p}, {n})", "idealization", f"p={p};n={n}",
-            range(2 - m, m - 1), partial(formulas.predict_local_index2, m)))
-    return tasks
+    return [RingTask("formula", f"Id(Z{p}, {n})", "idealization",
+                     f"p={p};n={n}",
+                     partial(formulas.predict_local_index2, p ** n))
+            for p, n in _grid_pairs(cfg, IDEALIZATION_GRID)]
 
 
 def _build_bounds(cfg: SuiteConfig) -> list[RingTask]:

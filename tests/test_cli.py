@@ -150,7 +150,7 @@ def test_verify_grid_parse_error_points_into_grid_entry(capsys, tmp_path):
     (["verify", "zpn"], "max_vertices = -4", None,
      "config key 'max_vertices': expected a non-negative integer, got '-4'"),
     (["verify", "tables"], "oracle_max = -1", None,
-     "config key 'oracle_max': expected a non-negative integer, got '-1'"),
+     "unknown config key 'oracle_max'"),
     (["verify", "tables"], "node_budget = -1", None,
      "config key 'node_budget': expected a non-negative integer, got '-1'"),
     (["verify", "tables"], "time_budget = -2.5", None,
@@ -317,7 +317,8 @@ def test_verify_mismatch_exits_2(capsys, monkeypatch):
 
     def bad_suite(cfg):
         return [V.RingTask("formula", "Z8", "tables", "bad",
-                           ((0, formulas.exact(99, "pinned")),))]
+                           lambda k: formulas.exact(99, "pinned") if k == 0
+                           else formulas.out_of_range("pinned"))]
 
     monkeypatch.setitem(V.SUITES, "tables", bad_suite)
     code, out, _ = run(capsys, "verify", "tables")

@@ -10,6 +10,7 @@ from zdalliance import (Prediction, bounds, exact, local_count_bounds,
                         predict_two_fields, predict_z2_local,
                         predict_z2_two_fields, predict_z2z2_field,
                         zero_divisor_count_bound)
+from zdalliance.formulas import infeasible
 
 PRIME_POWERS = [q for q in range(2, 65)
                 if len({p for p in range(2, q + 1) if q % p == 0
@@ -31,6 +32,7 @@ def test_prediction_invariants():
     p = bounds(2, 5, "x")
     assert (p.lower, p.upper) == (2, 5)
     assert out_of_range("x").kind == "out_of_range"
+    assert infeasible("x").kind == "infeasible"
 
 
 def test_complete_graph_formula():

@@ -298,6 +298,13 @@ def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == \
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1) and not is_prime(0)
+    limit = 5000
+    sieve = [False, False] + [True] * (limit - 2)
+    for p in range(2, limit):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(sieve[p * p::p])
+    assert [n for n in range(-5, limit) if is_prime(n)] == \
+        [n for n in range(limit) if sieve[n]]
 
 
 @given(st.integers(min_value=2, max_value=200), st.data())

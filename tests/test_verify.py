@@ -73,12 +73,14 @@ def test_known_graphs_oracle_cap_reported_not_dropped():
     assert "oracle-cap" in records[0].reason
 
 
-def test_known_graphs_budget_skips_every_k():
-    records = run_suite(SuiteConfig(suite="known_graphs", grid="Z12",
-                                    node_budget=1))
-    g = build_graph(build_ring("Z12"))
-    assert [r.k for r in records] == list(range(-g.max_degree,
-                                                g.max_degree + 1))
+@pytest.mark.parametrize("suite, grid, ks", [
+    ("known_graphs", "Z12", range(-4, 5)),
+    ("zpn", "2,4", range(-6, 2)),
+], ids=["known_graphs", "zpn"])
+def test_budget_skips_every_k(suite, grid, ks):
+    # one spectrum per ring: when it runs out, every cell of the ring skips
+    records = run_suite(SuiteConfig(suite=suite, grid=grid, node_budget=1))
+    assert [r.k for r in records] == list(ks)
     assert all(r.status == "SKIPPED" and r.reason.startswith("budget(")
                for r in records)
 
@@ -234,6 +236,46 @@ def test_config_file_rejects_garbage(tmp_path):
         parse_config_file(str(bad))
     with pytest.raises(ValueError, match="unknown config key"):
         apply_config(SuiteConfig(suite="tables"), {"wat": "1"})
+
+
+# one grid per formula family, with rings of up to 69 vertices, above the
+# default 36-vertex cap
+WIDE_GRIDS = {
+    "zpn": "2,6; 3,4; 5,3",
+    "fields": "11,13; 8,16",
+    "z2z2F": "11; 16",
+    "z2FK": "5,7; 7,8",
+    "z2local": "Z49; Z32; Id(Z5, 1)",
+    "idealizations": "2,6; 7,2; 3,3",
+}
+
+
+def test_formula_families_on_wide_grids():
+    records = [rec for suite, grid in WIDE_GRIDS.items()
+               for rec in run_suite(SuiteConfig(suite=suite, grid=grid,
+                                                max_vertices=100))]
+    assert len(records) == 663
+    assert len({r.family for r in records}) == len(WIDE_GRIDS)
+    assert max(r.vertices for r in records) == 69
+    bad = [r for r in records if r.status not in ("MATCH", "WITHIN_BOUNDS")]
+    assert not bad, bad[:3]
+
+
+def test_formula_ranges_lie_within_max_degree():
+    # verify checks a formula at the k in [-max_degree, max_degree] it does
+    # not call out_of_range; no formula may state a k beyond that window
+    configs = [SuiteConfig(suite=suite) for suite in verify.SUITES]
+    configs += [SuiteConfig(suite=suite, grid=grid)
+                for suite, grid in WIDE_GRIDS.items()]
+    tasks = [task for cfg in configs for task in verify.SUITES[cfg.suite](cfg)
+             if task.check == "formula"]
+    assert len(tasks) == 64
+    for task in tasks:
+        deg = build_graph(build_ring(task.expr)).max_degree
+        outside = [*range(-2 * deg - 2, -deg), *range(deg + 1, 2 * deg + 3)]
+        stated = [k for k in outside
+                  if task.predict(k).kind != "out_of_range"]
+        assert not stated, (task.expr, stated)
 
 
 def test_formula_suites_have_zero_mismatches():
