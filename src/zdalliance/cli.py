@@ -201,8 +201,8 @@ def _suite_config_from_args(args) -> SuiteConfig:
     if args.config:
         cfg = apply_config(cfg, parse_config_file(args.config))
     flags = dict(suite=args.suite, out=args.out,
-                 fmt=args.format, max_vertices=args.max_vertices,
-                 node_budget=args.node_budget, time_budget=args.time_budget)
+                 fmt=args.format, node_budget=args.node_budget,
+                 time_budget=args.time_budget)
     return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
@@ -290,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key = value file with run parameters")
     p.add_argument("--out", help="write the report here")
     p.add_argument("--format", choices=("csv", "md", "json"), default=None)
-    p.add_argument("--max-vertices", type=int, default=None)
     p.add_argument("--node-budget", type=int, default=None)
     p.add_argument("--time-budget", type=float, default=None)
     p.add_argument("--json", action="store_true",
@@ -314,9 +313,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         # argparse exits 2 on usage errors; keep 2 for mismatches instead
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        for name in ("budget", "max_vertices", "node_budget", "time_budget"):
+        for name in ("budget", "node_budget", "time_budget"):
             value = getattr(args, name, None)
-            if value is not None:  # budgets and caps, typed by argparse
+            if value is not None:  # budgets, typed by argparse
                 non_negative("--" + name.replace("_", "-"), value, type(value))
         return args.func(args)
     except ExprError as err:

@@ -58,16 +58,17 @@ also a global defensive k-alliance, so γ_k ≤ γ_{k+1}.  It walks k upward
 and starts each k's rounds at max(analytic lower bound, γ_{k-1}).
 
 ``oracle_spectrum`` is the independent cross-check: one enumeration of
-all subsets, s = 1..n, each s in ``itertools.combinations`` order, capped
-by default at 22 vertices.  A subset S is a global defensive k-alliance
-exactly when it dominates and its slack, min over x ∈ S of
-2·deg_S(x) - deg(x), is at least k.  The pass keeps ``reached``, the
-highest k answered so far; a dominating subset whose slack beats it
-answers every k in (reached, slack] with its size, itself and the number
-of subsets examined so far.  The pass stops once ``reached`` hits its
-target; a k still unanswered after s = n is infeasible, with all 2^n - 1
-subsets examined.  ``oracle_solve`` is the same pass aimed at one k, so
-each k gets the answer a per-k enumeration would give.
+all subsets, s = 1..n, each s in ``itertools.combinations`` order, on
+graphs of up to ``ORACLE_MAX_VERTICES`` = 22 vertices.  A subset S is a
+global defensive k-alliance exactly when it dominates and its slack, min
+over x ∈ S of 2·deg_S(x) - deg(x), is at least k.  The pass keeps
+``reached``, the highest k answered so far; a dominating subset whose
+slack beats it answers every k in (reached, slack] with its size, itself
+and the number of subsets examined so far.  The pass stops once
+``reached`` hits its target; a k still unanswered after s = n is
+infeasible, with all 2^n - 1 subsets examined.  ``oracle_solve`` is the
+same pass aimed at one k, so each k gets the answer a per-k enumeration
+would give.
 
 The walk runs depth first over prefixes P, with r picks left and only
 vertices from the first free one, i, onward still to add.  It skips the
@@ -412,15 +413,16 @@ def solve(problem: AllianceProblem, *, node_budget: Optional[int] = None,
     return _solve_with_gamma(problem.graph, problem.k, 1, node_budget, deadline)
 
 
-def _oracle_pass(graph: ZdGraph, lo: int, hi: int, max_vertices: int
+def _oracle_pass(graph: ZdGraph, lo: int, hi: int
                  ) -> dict[int, AllianceSolution]:
     """One walk over all subsets in increasing popcount order that answers
     every k in [lo, hi], skipping subtrees that answer none of them; see
-    the module docstring."""
+    the module docstring.  Graphs above ``ORACLE_MAX_VERTICES`` raise
+    :class:`CapacityError` before anything is enumerated."""
     n = graph.vertex_count
-    if n > max_vertices:
-        raise CapacityError(
-            f"oracle is capped at {max_vertices} vertices, graph has {n}")
+    if n > ORACLE_MAX_VERTICES:
+        raise CapacityError(f"oracle is capped at {ORACLE_MAX_VERTICES} "
+                            f"vertices, graph has {n}")
     adj = graph.adj
     deg = graph.degree
     closed = graph.closed
@@ -484,32 +486,28 @@ def _oracle_pass(graph: ZdGraph, lo: int, hi: int, max_vertices: int
     return out
 
 
-def oracle_spectrum(graph: ZdGraph, *,
-                    max_vertices: int = ORACLE_MAX_VERTICES
-                    ) -> dict[int, AllianceSolution]:
+def oracle_spectrum(graph: ZdGraph) -> dict[int, AllianceSolution]:
     """Brute-force reference for every k in [-max_degree, max_degree], from
     one enumeration of all subsets.
 
     Each k's feasible / size / witness / nodes are those of
-    :func:`oracle_solve` at that k.  Refuses graphs above ``max_vertices``
-    before enumerating anything.
+    :func:`oracle_solve` at that k.  Raises :class:`CapacityError` for a
+    graph above ``ORACLE_MAX_VERTICES`` before enumerating anything.
     """
-    return _oracle_pass(graph, -graph.max_degree, graph.max_degree,
-                        max_vertices)
+    return _oracle_pass(graph, -graph.max_degree, graph.max_degree)
 
 
-def oracle_solve(problem: AllianceProblem, *,
-                 max_vertices: int = ORACLE_MAX_VERTICES) -> AllianceSolution:
+def oracle_solve(problem: AllianceProblem) -> AllianceSolution:
     """Brute-force reference: all subsets in increasing popcount order.
 
     Skips only subtrees of subsets that cannot answer k, by the two rules
     in the module docstring, and still counts them; identical verdict
     semantics to :func:`solve`, for any integer k.  ``nodes`` counts the
-    subsets examined, 2^n - 1 when infeasible.  Refuses graphs above
-    ``max_vertices``.
+    subsets examined, 2^n - 1 when infeasible.  Raises
+    :class:`CapacityError` for a graph above ``ORACLE_MAX_VERTICES``.
     """
     k = problem.k
-    return _oracle_pass(problem.graph, k, k, max_vertices)[k]
+    return _oracle_pass(problem.graph, k, k)[k]
 
 
 def spectrum(graph: ZdGraph, *, node_budget: Optional[int] = None,

@@ -7,10 +7,11 @@ values; every (ring, k) cell yields exactly one
 :func:`~zdalliance.solver.spectrum` per ring, whose time budget covers the
 whole ring.  A formula task's cells are the k in [-max_degree, max_degree]
 its formula does not call ``out_of_range``; an oracle task's cells are the
-k of one ``oracle_spectrum``.  Cells that cannot run (graph above the
-vertex cap, the ring's spectrum out of budget, oracle capped) are reported
-as SKIPPED with a reason, never dropped; a budget skip covers every cell
-of its ring.  For cells that do run, the status is derived
+k of one ``oracle_spectrum``.  Cells that cannot run (the ring's spectrum
+out of its node or time budget, a graph above the oracle's cap) are
+reported as SKIPPED with a reason, never dropped; a budget skip covers
+every cell of its ring.  No vertex count skips a cell: the budgets are
+the only per-ring guard.  For cells that do run, the status is derived
 deterministically:
 
 * exact prediction v      -> MATCH iff the solver returns size v,
@@ -40,9 +41,9 @@ from typing import Callable, Optional, Sequence, Union
 from . import formulas
 from .expressions import build_ring
 from .graphs import ZdGraph, build_graph
-from .rings import FiniteRing, is_prime, local_structure, zero_divisors
-from .solver import (ORACLE_MAX_VERTICES, AllianceSolution, BudgetExceeded,
-                     oracle_spectrum, spectrum)
+from .rings import (CapacityError, FiniteRing, is_prime, local_structure,
+                    zero_divisors)
+from .solver import AllianceSolution, BudgetExceeded, oracle_spectrum, spectrum
 # perfbench --trace 1 wraps these two by name
 from .solver import oracle_solve, solve  # noqa: F401
 
@@ -86,10 +87,12 @@ class VerificationRecord:
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Run parameters for one verification suite."""
+    """Run parameters for one verification suite.
+
+    The node budget (per k) and the time budget (per ring's spectrum) bound
+    every ring; ``None`` lifts a budget."""
     suite: str
     grid: Optional[str] = None
-    max_vertices: int = 36
     node_budget: Optional[int] = 50_000_000
     time_budget: Optional[float] = 300.0
     out: Optional[str] = None
@@ -139,8 +142,6 @@ def apply_config(cfg: SuiteConfig, options: dict[str, str]) -> SuiteConfig:
             updates["suite"] = value
         elif key == "grid":
             updates["grid"] = value
-        elif key == "max_vertices":
-            updates[key] = non_negative(f"config key {key!r}", value, int)
         elif key in ("node_budget", "time_budget"):
             kind = int if key == "node_budget" else float
             updates[key] = (None if value.lower() == "none"
@@ -229,18 +230,17 @@ def _status_for(pred: formulas.Prediction, sol: AllianceSolution) -> str:
 
 
 def _alliance_rows(cfg: SuiteConfig, task: RingTask, ring: FiniteRing,
-                   graph: ZdGraph, cells: dict[int, formulas.Prediction],
-                   skip: str = "") -> list[VerificationRecord]:
+                   graph: ZdGraph, cells: dict[int, formulas.Prediction]
+                   ) -> list[VerificationRecord]:
     """One record per (k, prediction) of ``cells``, in k order, each checked
-    against one solver spectrum of ``graph``.  Unless ``skip`` gives a
-    reason, the spectrum runs; if it runs out of budget, that becomes the
-    reason.  With a reason, every cell is SKIPPED with it."""
-    if not skip:
-        try:
-            spect = spectrum(graph, node_budget=cfg.node_budget,
-                             time_budget=cfg.time_budget)
-        except BudgetExceeded as exc:
-            skip = f"budget({exc})"
+    against one solver spectrum of ``graph``.  If the spectrum runs out of
+    budget, every cell is SKIPPED with that reason."""
+    skip = ""
+    try:
+        spect = spectrum(graph, node_budget=cfg.node_budget,
+                         time_budget=cfg.time_budget)
+    except BudgetExceeded as exc:
+        skip = f"budget({exc})"
     records = []
     for k, pred in sorted(cells.items()):
         exact = pred.kind == "exact"
@@ -263,18 +263,20 @@ def _alliance_rows(cfg: SuiteConfig, task: RingTask, ring: FiniteRing,
 def _check_formula(cfg: SuiteConfig, task: RingTask, ring: FiniteRing,
                    graph: ZdGraph) -> list[VerificationRecord]:
     """The task's formula at every k in [-max_degree, max_degree] it covers."""
-    deg, n = graph.max_degree, graph.vertex_count
+    deg = graph.max_degree
     cells = {k: pred for k in range(-deg, deg + 1)
              if (pred := task.predict(k)).kind != "out_of_range"}
-    skip = f"vertex-cap({n})" if n > cfg.max_vertices else ""
-    return _alliance_rows(cfg, task, ring, graph, cells, skip)
+    return _alliance_rows(cfg, task, ring, graph, cells)
 
 
 def _check_oracle(cfg: SuiteConfig, task: RingTask, ring: FiniteRing,
                   graph: ZdGraph) -> list[VerificationRecord]:
     """One oracle enumeration and one solver spectrum for the ring, compared
-    at every k in [-max_degree, max_degree]."""
-    if graph.vertex_count > ORACLE_MAX_VERTICES:
+    at every k in [-max_degree, max_degree]; a graph the oracle refuses
+    gets one SKIPPED row."""
+    try:
+        refs = oracle_spectrum(graph)
+    except CapacityError:
         return [VerificationRecord(
             family=task.family, params=task.params, ring=ring.label,
             vertices=graph.vertex_count, k=0, predicted_kind="exact",
@@ -282,7 +284,7 @@ def _check_oracle(cfg: SuiteConfig, task: RingTask, ring: FiniteRing,
             reason=f"oracle-cap({graph.vertex_count})")]
     cells = {k: formulas.exact(ref.size, "oracle") if ref.feasible
              else formulas.infeasible("oracle")
-             for k, ref in oracle_spectrum(graph).items()}
+             for k, ref in refs.items()}
     return _alliance_rows(cfg, task, ring, graph, cells)
 
 
@@ -357,20 +359,16 @@ def check_cardinality_bounds(ring: FiniteRing, graph: ZdGraph, *,
 
 def _check_bounds(cfg: SuiteConfig, task: RingTask, ring: FiniteRing,
                   graph: ZdGraph) -> list[VerificationRecord]:
-    if graph.vertex_count > cfg.max_vertices:
-        reason = f"vertex-cap({graph.vertex_count})"
-    else:
-        try:
-            return check_cardinality_bounds(ring, graph,
-                                            node_budget=cfg.node_budget,
-                                            time_budget=cfg.time_budget)
-        except BudgetExceeded as exc:
-            reason = f"budget({exc})"
-    return [VerificationRecord(
-        family=task.family, params="check=A", ring=ring.label,
-        vertices=graph.vertex_count, k=0, predicted_kind="bounds",
-        predicted_lo=None, predicted_hi=None, solved=None, status=SKIPPED,
-        reason=reason)]
+    try:
+        return check_cardinality_bounds(ring, graph,
+                                        node_budget=cfg.node_budget,
+                                        time_budget=cfg.time_budget)
+    except BudgetExceeded as exc:
+        return [VerificationRecord(
+            family=task.family, params="check=A", ring=ring.label,
+            vertices=graph.vertex_count, k=0, predicted_kind="bounds",
+            predicted_lo=None, predicted_hi=None, solved=None,
+            status=SKIPPED, reason=f"budget({exc})")]
 
 
 def _check_pinned(cfg: SuiteConfig, task: RingTask, ring: FiniteRing,
@@ -502,7 +500,8 @@ def _build_idealizations(cfg: SuiteConfig) -> list[RingTask]:
 def _build_bounds(cfg: SuiteConfig) -> list[RingTask]:
     tasks = [RingTask("bounds", expr, "bounds")
              for expr in _grid_items(cfg, BOUNDS_RINGS)]
-    tasks.append(RingTask("pinned", "Z2 x Z4", "bounds"))
+    if cfg.grid is None:
+        tasks.append(RingTask("pinned", "Z2 x Z4", "bounds"))
     return tasks
 
 

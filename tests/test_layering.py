@@ -3,7 +3,8 @@
 A private name is one with a single leading underscore (dunders are
 public protocol).  Only ``self`` and ``cls`` may reach them through an
 attribute, and no ``from ... import`` may name one; a module's own
-private functions are called by bare name.
+private functions are called by bare name.  The test references obey the
+same rule, so they cannot borrow the engine code they check.
 """
 
 import ast
@@ -13,6 +14,9 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "zdalliance"
 SOURCES = sorted(PACKAGE.glob("*.py"))
+TESTS = Path(__file__).resolve().parent
+REFERENCES = sorted([TESTS / "vertex_search.py", TESTS / "ring_axioms.py",
+                     *TESTS.glob("*_reference.py")])
 
 
 def _is_private(name: str) -> bool:
@@ -38,8 +42,16 @@ def _foreign_private_reads(path: Path) -> list[str]:
 
 def test_package_sources_found():
     assert {p.name for p in SOURCES} >= {"rings.py", "graphs.py", "solver.py"}
+    assert {p.name for p in REFERENCES} >= {
+        "vertex_search.py", "ring_axioms.py", "oracle_reference.py",
+        "graph_reference.py", "local_reference.py"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_foreign_private_reads(path):
+    assert _foreign_private_reads(path) == []
+
+
+@pytest.mark.parametrize("path", REFERENCES, ids=lambda p: p.name)
+def test_reference_reads_no_private_names(path):
     assert _foreign_private_reads(path) == []

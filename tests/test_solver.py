@@ -7,10 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zdalliance import (AllianceProblem, BudgetExceeded, CapacityError,
-                        NoGraphError, bits, build_graph, build_ring,
-                        domination_number, oracle_solve, oracle_spectrum,
-                        solve, spectrum, zero_divisors)
+from zdalliance import (ORACLE_MAX_VERTICES, AllianceProblem, BudgetExceeded,
+                        CapacityError, NoGraphError, bits, build_graph,
+                        build_ring, domination_number, oracle_solve,
+                        oracle_spectrum, solve, spectrum, zero_divisors)
 from zdalliance.verify import KNOWN_GRAPH_CORPUS
 from oracle_reference import reference_solve, reference_spectrum
 from vertex_search import vertex_solve, vertex_spectrum
@@ -214,11 +214,13 @@ def test_oracle_vertex_cap():
     assert g.vertex_count == 26
     with pytest.raises(CapacityError):
         oracle_solve(AllianceProblem(g, 0))
-    # the cap is adjustable
-    small = G("Z12")
-    oracle_solve(AllianceProblem(small, 0), max_vertices=7)
-    with pytest.raises(CapacityError):
-        oracle_solve(AllianceProblem(small, 0), max_vertices=6)
+    # the cap is inclusive: K22 is enumerated, a 23-vertex graph is not
+    at_cap = G("Z529")
+    assert at_cap.vertex_count == ORACLE_MAX_VERTICES == 22
+    assert oracle_solve(AllianceProblem(at_cap, 0)).size == 12
+    with pytest.raises(CapacityError, match="oracle is capped at 22 "
+                       "vertices, graph has 23"):
+        oracle_solve(AllianceProblem(G("Z46"), 0))
 
 
 def test_oracle_spectrum_vertex_cap():
@@ -226,11 +228,11 @@ def test_oracle_spectrum_vertex_cap():
     assert g.vertex_count == 26
     with pytest.raises(CapacityError):
         oracle_spectrum(g)
-    # the cap is adjustable
-    small = G("Z12")
-    oracle_spectrum(small, max_vertices=7)
-    with pytest.raises(CapacityError):
-        oracle_spectrum(small, max_vertices=6)
+    at_cap = G("Z529")
+    assert len(oracle_spectrum(at_cap)) == 2 * 21 + 1
+    with pytest.raises(CapacityError, match="oracle is capped at 22 "
+                       "vertices, graph has 23"):
+        oracle_spectrum(G("Z46"))
 
 
 def test_oracle_counts_subsets():

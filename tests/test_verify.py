@@ -52,6 +52,13 @@ def test_bounds_suite_headline_values():
     assert pinned[0].solved == 6
 
 
+def test_bounds_grid_gets_only_its_rings():
+    # the pinned Z2 x Z4 row belongs to the default grid only
+    records = run_suite(SuiteConfig(suite="bounds", grid="Z6"))
+    assert len(records) == 6
+    assert all(r.ring == "Z6" for r in records)
+
+
 def test_z2local_suite_statuses():
     records = run_suite(SuiteConfig(suite="z2local", grid="Z8"))
     # Z2 x Z8: r=8, z=4, index 3; named exact cases plus bounds gaps
@@ -76,7 +83,8 @@ def test_known_graphs_oracle_cap_reported_not_dropped():
 @pytest.mark.parametrize("suite, grid, ks", [
     ("known_graphs", "Z12", range(-4, 5)),
     ("zpn", "2,4", range(-6, 2)),
-], ids=["known_graphs", "zpn"])
+    ("bounds", "Z12", [0]),
+], ids=["known_graphs", "zpn", "bounds"])
 def test_budget_skips_every_k(suite, grid, ks):
     # one spectrum per ring: when it runs out, every cell of the ring skips
     records = run_suite(SuiteConfig(suite=suite, grid=grid, node_budget=1))
@@ -177,8 +185,9 @@ def test_markdown_bounds_rows():
     assert ["-2", "", "9", "check=A-min; #Z(R)=8 in [0, 9]",
             "WITHIN_BOUNDS"] in rows
     skipped = run_suite(SuiteConfig(suite="bounds", grid="Z64",
-                                    max_vertices=10))
-    assert ["0", "", "", "check=A", "SKIPPED(vertex-cap(31))"] in \
+                                    node_budget=0))
+    assert ["0", "", "", "check=A",
+            "SKIPPED(budget(node budget 0 exhausted))"] in \
         _table_rows(emit_report(skipped, "md"))
 
 
@@ -214,15 +223,13 @@ def test_config_file(tmp_path):
     cfg_file.write_text(
         "# a comment\n"
         "suite = zpn\n"
-        "max_vertices = 40   # trailing comment\n"
-        "node_budget = 1000000\n"
+        "node_budget = 1000000   # trailing comment\n"
         "time_budget = 60\n"
         "grid = 2,3; 3,2\n"
         "format = md\n")
     options = parse_config_file(str(cfg_file))
     cfg = apply_config(SuiteConfig(suite="tables"), options)
     assert cfg.suite == "zpn"
-    assert cfg.max_vertices == 40
     assert cfg.node_budget == 1000000
     assert cfg.time_budget == 60.0
     assert cfg.grid == "2,3; 3,2"
@@ -238,8 +245,7 @@ def test_config_file_rejects_garbage(tmp_path):
         apply_config(SuiteConfig(suite="tables"), {"wat": "1"})
 
 
-# one grid per formula family, with rings of up to 69 vertices, above the
-# default 36-vertex cap
+# one grid per formula family, with rings of up to 69 vertices
 WIDE_GRIDS = {
     "zpn": "2,6; 3,4; 5,3",
     "fields": "11,13; 8,16",
@@ -252,13 +258,31 @@ WIDE_GRIDS = {
 
 def test_formula_families_on_wide_grids():
     records = [rec for suite, grid in WIDE_GRIDS.items()
-               for rec in run_suite(SuiteConfig(suite=suite, grid=grid,
-                                                max_vertices=100))]
+               for rec in run_suite(SuiteConfig(suite=suite, grid=grid))]
     assert len(records) == 663
     assert len({r.family for r in records}) == len(WIDE_GRIDS)
     assert max(r.vertices for r in records) == 69
     bad = [r for r in records if r.status not in ("MATCH", "WITHIN_BOUNDS")]
     assert not bad, bad[:3]
+
+
+# rings of up to 127 vertices for the count bounds and the Z_{p^n} formula
+WIDE_BOUNDS_GRID = ("Z2 x Z27; Z125; Z2 x Z49; Z128; Z3 x Z25; Id(Z7, 1); "
+                    "Z243")
+
+
+def test_bounds_and_zpn_on_wide_grids():
+    bounds = run_suite(SuiteConfig(suite="bounds", grid=WIDE_BOUNDS_GRID))
+    assert len(bounds) == 493
+    assert len({r.ring for r in bounds}) == 7
+    assert max(r.vertices for r in bounds) == 80
+    assert all(r.status == "WITHIN_BOUNDS" for r in bounds), \
+        [r for r in bounds if r.status != "WITHIN_BOUNDS"][:3]
+    zpn = run_suite(SuiteConfig(suite="zpn", grid="2,8"))
+    assert len(zpn) == 128
+    assert {(r.ring, r.vertices) for r in zpn} == {("Z256", 127)}
+    assert all(r.status == "MATCH" for r in zpn), \
+        [r for r in zpn if r.status != "MATCH"][:3]
 
 
 def test_formula_ranges_lie_within_max_degree():

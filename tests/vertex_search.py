@@ -15,7 +15,19 @@ import time
 from typing import Optional
 
 from zdalliance import AllianceSolution, BudgetExceeded, ZdGraph, bits
-from zdalliance.solver import _alliance_lower_bound
+
+
+def _lower_bound(graph: ZdGraph, k: int, floor: int) -> int:
+    """The first s worth a round, derived here rather than read from the
+    engine.  A member x needs deg_S(x) ≥ ⌈(deg x + k)/2⌉, so
+    s ≥ 1 + ⌈(δ + k)/2⌉, and x has at most deg_S(x) - k ≤ s - 1 - k
+    neighbours outside S; S dominates, so n ≤ s + s(s - 1 - k) = s² - ks.
+    The core, at most n vertices, always answers."""
+    n = graph.vertex_count
+    s = max(1, floor, 1 - (-(graph.min_degree + k) // 2))
+    while s < n and s * s - k * s < n:
+        s += 1
+    return min(s, n)
 
 
 class _Search:
@@ -163,7 +175,7 @@ def vertex_solve(graph: ZdGraph, k: int, floor: int = 1,
                                 time.perf_counter() - start)
     search = _Search(graph, k, core, node_budget, None)
     size, witness = core.bit_count(), core
-    for s in range(_alliance_lower_bound(graph, k, floor), size):
+    for s in range(_lower_bound(graph, k, floor), size):
         found = search.run(s)
         if found is not None:
             size, witness = s, found
