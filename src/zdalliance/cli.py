@@ -3,21 +3,20 @@
 Exit codes: 0 success, 1 usage or expression errors, 2 a cross-check
 disagreed (oracle vs solver, or a verification MISMATCH), 3 a search budget
 ran out before the answer was certain.  The ZDK_ORDER_CAP environment
-variable overrides the default ring order cap.
+variable sets the ring order cap of every subcommand, verify included.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from typing import Optional
 
 from .expressions import ExprError, build_ring
 from .graphs import NoGraphError, build_graph
-from .rings import CapacityError, FiniteRing, nilradical, zero_divisors
+from .rings import CapacityError, nilradical, zero_divisors
 from .solver import (AllianceProblem, BudgetExceeded, oracle_solve,
                      oracle_spectrum, solve, spectrum)
 from .verify import (MISMATCH, SuiteConfig, SUITES, apply_config, emit_report,
@@ -28,15 +27,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 EXIT_UNKNOWN = 3
-
-
-def _order_cap() -> Optional[int]:
-    raw = os.environ.get("ZDK_ORDER_CAP")
-    return non_negative("ZDK_ORDER_CAP", raw, int) if raw else None
-
-
-def _ring(expr: str) -> FiniteRing:
-    return build_ring(expr, _order_cap())
 
 
 def _print_expr_error(err: ExprError) -> None:
@@ -55,7 +45,7 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
 
 
 def cmd_ring_info(args) -> int:
-    ring = _ring(args.expr)
+    ring = build_ring(args.expr)
     zcount = len(zero_divisors(ring))
     nil = nilradical(ring)
     index = ring.local_index
@@ -99,7 +89,7 @@ def cmd_ring_info(args) -> int:
 
 
 def cmd_graph_export(args) -> int:
-    graph = build_graph(_ring(args.expr))
+    graph = build_graph(build_ring(args.expr))
     text = graph.to_dot() if args.format == "dot" else graph.to_dimacs()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -110,7 +100,7 @@ def cmd_graph_export(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    graph = build_graph(_ring(args.expr))
+    graph = build_graph(build_ring(args.expr))
     problem = AllianceProblem(graph, args.k)
     try:
         sol = solve(problem, node_budget=args.budget)
@@ -156,7 +146,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    graph = build_graph(_ring(args.expr))
+    graph = build_graph(build_ring(args.expr))
     try:
         spect = spectrum(graph, node_budget=args.budget)
     except BudgetExceeded as exc:

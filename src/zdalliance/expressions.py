@@ -167,19 +167,17 @@ def parse_ring_expr(text: str) -> RingExpr:
     return expr
 
 
-def build_ring(expr: Union[RingExpr, str],
-               order_cap: Optional[int] = None) -> FiniteRing:
-    """Evaluate an expression (or its text) into a FiniteRing."""
+def build_ring(expr: Union[RingExpr, str]) -> FiniteRing:
+    """Evaluate an expression (or its text) into a FiniteRing; every term
+    obeys the order cap that :mod:`zdalliance.rings` reads."""
     if isinstance(expr, str):
         expr = parse_ring_expr(expr)
     if isinstance(expr, Zn):
-        return make_zn(expr.n, order_cap)
+        return make_zn(expr.n)
     if isinstance(expr, GF):
-        return make_gf(expr.p, expr.k, order_cap)
+        return make_gf(expr.p, expr.k)
     if isinstance(expr, Product):
-        return make_product([build_ring(f, order_cap) for f in expr.factors],
-                            order_cap)
+        return make_product([build_ring(f) for f in expr.factors])
     if isinstance(expr, Idealization):
-        return make_idealization(build_ring(expr.base, order_cap),
-                                 expr.rank, order_cap)
+        return make_idealization(build_ring(expr.base), expr.rank)
     raise TypeError(f"not a ring expression: {expr!r}")

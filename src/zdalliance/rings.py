@@ -42,13 +42,16 @@ never call ``ring.mul``.  Four constructions are provided:
 
 Constructions are pure and deterministic: the same parameters always yield
 the same element encoding, which downstream layers rely on for stable
-vertex orders and reports.  All constructors enforce an order cap (default
-4096) and check it before an order is built, so a term far above the cap
-fails at once with a ``CapacityError`` that names the term.
+vertex orders and reports.  All constructors enforce one order cap and
+check it before an order is built, so a term far above the cap fails at
+once with a ``CapacityError`` that names the term.  Only this module reads
+the cap, so the CLI, ``verify`` and library callers all meet the same one:
+ZDK_ORDER_CAP (an integer >= 2) when set, else DEFAULT_ORDER_CAP (4096).
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from itertools import repeat
 from math import gcd
@@ -61,17 +64,23 @@ class CapacityError(ValueError):
     """A construction or operation exceeds its configured size cap."""
 
 
-def _resolve_cap(order_cap: Optional[int]) -> int:
-    cap = DEFAULT_ORDER_CAP if order_cap is None else int(order_cap)
+def _read_cap() -> int:
+    """ZDK_ORDER_CAP when set and non-empty, else DEFAULT_ORDER_CAP."""
+    raw = os.environ.get("ZDK_ORDER_CAP") or str(DEFAULT_ORDER_CAP)
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(
+            f"ZDK_ORDER_CAP: expected an integer, got {raw!r}") from None
     if cap < 2:
-        raise ValueError(f"order cap must be at least 2, got {cap}")
+        raise ValueError(
+            f"ZDK_ORDER_CAP: expected an integer of at least 2, got {raw!r}")
     return cap
 
 
-def _capped_order(sizes: Iterable[int], order_cap: Optional[int],
-                  what: str) -> int:
+def _capped_order(sizes: Iterable[int], what: str) -> int:
     """The product of ``sizes`` (each >= 2), raising once it passes the cap."""
-    cap = _resolve_cap(order_cap)
+    cap = _read_cap()
     order = 1
     for size in sizes:
         order *= size
@@ -116,11 +125,11 @@ class FiniteRing:
 # constructions
 
 
-def make_zn(n: int, order_cap: Optional[int] = None) -> FiniteRing:
+def make_zn(n: int) -> FiniteRing:
     """Residue ring Z_n on ids 0..n-1."""
     if n < 2:
         raise ValueError(f"Z_n needs n >= 2, got {n}")
-    _capped_order((n,), order_cap, f"Z{n}")
+    _capped_order((n,), f"Z{n}")
     pe = prime_power(n)
     return FiniteRing(
         n,
@@ -203,15 +212,15 @@ def _smallest_irreducible(p: int, k: int) -> list[int]:
     raise RuntimeError(f"no irreducible of degree {k} over GF({p})")  # pragma: no cover
 
 
-def make_gf(p: int, k: int = 1, order_cap: Optional[int] = None) -> FiniteRing:
+def make_gf(p: int, k: int = 1) -> FiniteRing:
     """Galois field GF(p**k); ids encode polynomial coefficients base p."""
     if not is_prime(p):
         raise ValueError(f"GF needs a prime characteristic, got {p}")
     if k < 1:
         raise ValueError(f"GF needs extension degree >= 1, got {k}")
-    q = _capped_order(repeat(p, k), order_cap, f"GF({p}, {k})")
+    q = _capped_order(repeat(p, k), f"GF({p}, {k})")
     if k == 1:
-        return replace(make_zn(p, order_cap), label=f"GF({p})")
+        return replace(make_zn(p), label=f"GF({p})")
 
     modulus = _smallest_irreducible(p, k)  # little-endian, monic of degree k
     low = modulus[:k]
@@ -254,8 +263,7 @@ def make_gf(p: int, k: int = 1, order_cap: Optional[int] = None) -> FiniteRing:
                       lambda a: (0,) if a else whole, 1)
 
 
-def make_product(factors: Sequence[FiniteRing],
-                 order_cap: Optional[int] = None) -> FiniteRing:
+def make_product(factors: Sequence[FiniteRing]) -> FiniteRing:
     """Direct product; ids are mixed-radix, first factor most significant."""
     factors = tuple(factors)
     if len(factors) < 2:
@@ -266,7 +274,7 @@ def make_product(factors: Sequence[FiniteRing],
 
     label = " x ".join(factor_label(f) for f in factors)
     orders = tuple(f.order for f in factors)
-    order = _capped_order(orders, order_cap, label)
+    order = _capped_order(orders, label)
 
     def split(a: int) -> list[int]:
         comps = []
@@ -312,14 +320,13 @@ def make_product(factors: Sequence[FiniteRing],
                       element_label)
 
 
-def make_idealization(base: FiniteRing, rank: int = 1,
-                      order_cap: Optional[int] = None) -> FiniteRing:
+def make_idealization(base: FiniteRing, rank: int = 1) -> FiniteRing:
     """Idealization R (+) R**rank: (a,n)(b,m) = (ab, am+bn)."""
     if rank < 1:
         raise ValueError(f"idealization rank must be >= 1, got {rank}")
     o = base.order
     label = f"Id({base.label}, {rank})"
-    order = _capped_order(repeat(o, rank + 1), order_cap, label)
+    order = _capped_order(repeat(o, rank + 1), label)
 
     def split(x: int) -> tuple[int, list[int]]:
         a = x % o

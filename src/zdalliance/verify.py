@@ -125,8 +125,8 @@ def _number(source: str, value, kind: type):
 
 def non_negative(source: str, value, kind: type):
     """kind(value) when it is at least 0, or a ValueError that names the
-    value's source.  Budgets and caps pass through here; a record's k may be
-    negative and does not."""
+    value's source.  Budgets pass through here; a record's k may be negative
+    and does not."""
     number = _number(source, value, kind)
     if not number >= 0:
         what = "integer" if kind is int else "number"
@@ -491,10 +491,14 @@ def _build_z2local(cfg: SuiteConfig) -> list[RingTask]:
 
 
 def _build_idealizations(cfg: SuiteConfig) -> list[RingTask]:
+    pairs = _grid_pairs(cfg, IDEALIZATION_GRID)
+    for p, n in pairs:  # the formula needs M^2 = 0, so Z_p a field
+        if not is_prime(p):
+            raise ValueError(f"grid entry '{p},{n}': {p} is not prime")
     return [RingTask("formula", f"Id(Z{p}, {n})", "idealization",
                      f"p={p};n={n}",
                      partial(formulas.predict_local_index2, p ** n))
-            for p, n in _grid_pairs(cfg, IDEALIZATION_GRID)]
+            for p, n in pairs]
 
 
 def _build_bounds(cfg: SuiteConfig) -> list[RingTask]:

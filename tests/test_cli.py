@@ -134,7 +134,12 @@ def test_verify_grid_parse_error_points_into_grid_entry(capsys, tmp_path):
     (["ring-info", "Z4"], None, "abc",
      "ZDK_ORDER_CAP: expected an integer, got 'abc'"),
     (["ring-info", "Z4"], None, "-5",
-     "ZDK_ORDER_CAP: expected a non-negative integer, got '-5'"),
+     "ZDK_ORDER_CAP: expected an integer of at least 2, got '-5'"),
+    (["verify", "tables"], None, "1",
+     "ZDK_ORDER_CAP: expected an integer of at least 2, got '1'"),
+    (["verify", "zpn"], "grid = 2,4", "10", "Z16 exceeds the order cap 10"),
+    (["verify", "idealizations"], "grid = 4,1", None,
+     "grid entry '4,1': 4 is not prime"),
     (["solve", "Z12", "-k", "0", "--budget", "-3"], None, None,
      "--budget: expected a non-negative integer, got -3"),
     (["spectrum", "Z9", "--budget", "-1"], None, None,
@@ -158,7 +163,8 @@ def test_verify_grid_parse_error_points_into_grid_entry(capsys, tmp_path):
      "unknown config key 'max_vertices'"),
 ], ids=["pair-grid-one-value", "pair-grid-three-values", "int-grid",
         "config-node-budget", "config-float", "order-cap-env",
-        "order-cap-env-negative", "solve-budget", "spectrum-budget",
+        "order-cap-env-negative", "order-cap-env-one", "order-cap-verify",
+        "idealization-grid-not-prime", "solve-budget", "spectrum-budget",
         "node-budget-flag", "time-budget-flag", "config-oracle-max",
         "config-node-budget-negative", "config-time-budget-negative",
         "config-time-budget-nan", "config-format", "config-jobs",
@@ -183,7 +189,7 @@ def test_semantic_error_exit_1(capsys):
     assert "GF" in err
 
 
-def test_order_cap_env(capsys, monkeypatch):
+def test_order_cap_env(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("ZDK_ORDER_CAP", "10")
     code, _, err = run(capsys, "ring-info", "Z100")
     assert code == 1
@@ -191,6 +197,14 @@ def test_order_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("ZDK_ORDER_CAP", "200")
     code, _, _ = run(capsys, "ring-info", "Z100")
     assert code == 0
+    # verify obeys the same cap: Z4913 = Z_{17^3} is above the default 4096
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid = 17,3\n")
+    monkeypatch.setenv("ZDK_ORDER_CAP", "5000")
+    code, out, err = run(capsys, "verify", "zpn", "--config", str(cfg))
+    assert code == 0, err
+    assert out.splitlines()[0] == ("suite zpn: 304 records, 304 MATCH, "
+                                   "0 WITHIN_BOUNDS, 0 MISMATCH, 0 SKIPPED")
 
 
 def test_unknown_subcommand_exit_1(capsys):

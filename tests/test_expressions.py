@@ -97,10 +97,13 @@ def test_nested_product_label_keeps_grouping():
         sorted(map(flat.mul, range(8), range(8)))
 
 
-def test_build_ring_respects_cap():
+def test_build_ring_respects_cap(monkeypatch):
+    monkeypatch.setenv("ZDK_ORDER_CAP", "64")
     with pytest.raises(CapacityError):
-        build_ring("Z100", order_cap=64)
-    assert build_ring("Z100", order_cap=128).order == 100
+        build_ring("Z100")
+    monkeypatch.setenv("ZDK_ORDER_CAP", "128")
+    assert build_ring("Z100").order == 100
+    monkeypatch.delenv("ZDK_ORDER_CAP")
     with pytest.raises(CapacityError):
         build_ring("Z5000")
 

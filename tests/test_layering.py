@@ -4,7 +4,8 @@ A private name is one with a single leading underscore (dunders are
 public protocol).  Only ``self`` and ``cls`` may reach them through an
 attribute, and no ``from ... import`` may name one; a module's own
 private functions are called by bare name.  The test references obey the
-same rule, so they cannot borrow the engine code they check.
+same rule, so they cannot borrow the engine code they check.  Only
+``rings`` reads the environment: it alone decides the ring order cap.
 """
 
 import ast
@@ -15,6 +16,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "zdalliance"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 TESTS = Path(__file__).resolve().parent
+ENVIRONMENT_NAMES = ("environ", "getenv")
 REFERENCES = sorted([TESTS / "vertex_search.py", TESTS / "ring_axioms.py",
                      *TESTS.glob("*_reference.py")])
 
@@ -40,6 +42,21 @@ def _foreign_private_reads(path: Path) -> list[str]:
     return found
 
 
+def _environment_reads(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [f"{path.name}:{node.lineno}: import {alias.name}"
+                      for alias in node.names
+                      if alias.name in ENVIRONMENT_NAMES]
+        elif (isinstance(node, ast.Attribute)
+              and node.attr in ENVIRONMENT_NAMES
+              and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
 def test_package_sources_found():
     assert {p.name for p in SOURCES} >= {"rings.py", "graphs.py", "solver.py"}
     assert {p.name for p in REFERENCES} >= {
@@ -55,3 +72,9 @@ def test_no_foreign_private_reads(path):
 @pytest.mark.parametrize("path", REFERENCES, ids=lambda p: p.name)
 def test_reference_reads_no_private_names(path):
     assert _foreign_private_reads(path) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_rings_reads_the_environment(path):
+    reads = _environment_reads(path)
+    assert bool(reads) == (path.name == "rings.py"), reads

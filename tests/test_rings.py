@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zdalliance import (CapacityError, annihilator, build_ring, is_prime,
-                        is_reduced, local_structure, make_gf,
-                        make_idealization, make_product, make_zn, nilradical,
-                        units, zero_divisors)
+from zdalliance import (CapacityError, DEFAULT_ORDER_CAP, annihilator,
+                        build_ring, is_prime, is_reduced, local_structure,
+                        make_gf, make_idealization, make_product, make_zn,
+                        nilradical, units, zero_divisors)
 
 from local_reference import span_local_structure
 from ring_axioms import verify_ring_axioms
@@ -280,12 +280,16 @@ def test_nilradical_oracle():
         assert nilradical(r) == direct
 
 
-def test_order_cap():
+def test_order_cap(monkeypatch):
     with pytest.raises(CapacityError):
         make_zn(5000)
+    monkeypatch.setenv("ZDK_ORDER_CAP", "64")
     with pytest.raises(CapacityError):
-        make_zn(100, order_cap=64)
-    make_zn(100, order_cap=100)
+        make_zn(100)
+    monkeypatch.setenv("ZDK_ORDER_CAP", "100")
+    make_zn(100)
+    monkeypatch.setenv("ZDK_ORDER_CAP", "")  # empty means the default
+    make_zn(DEFAULT_ORDER_CAP)
     with pytest.raises(CapacityError):
         build_ring("Z70 x Z70")
     # caps are checked before the order is built, so huge terms fail at once

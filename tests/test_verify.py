@@ -245,23 +245,26 @@ def test_config_file_rejects_garbage(tmp_path):
         apply_config(SuiteConfig(suite="tables"), {"wat": "1"})
 
 
-# one grid per formula family, with rings of up to 69 vertices
+# one grid per formula family, each reaching past 100 vertices, with rings
+# of up to 150 vertices
 WIDE_GRIDS = {
-    "zpn": "2,6; 3,4; 5,3",
-    "fields": "11,13; 8,16",
-    "z2z2F": "11; 16",
-    "z2FK": "5,7; 7,8",
-    "z2local": "Z49; Z32; Id(Z5, 1)",
-    "idealizations": "2,6; 7,2; 3,3",
+    "zpn": "2,6; 3,4; 5,3; 5,4",
+    "fields": "11,13; 8,16; 64,64",
+    "z2z2F": "11; 16; 37",
+    "z2FK": "5,7; 7,8; 8,16",
+    "z2local": "Z49; Z32; Id(Z5, 1); Id(Z11, 1); Z125",
+    "idealizations": "2,6; 7,2; 3,3; 5,3",
 }
 
 
 def test_formula_families_on_wide_grids():
     records = [rec for suite, grid in WIDE_GRIDS.items()
                for rec in run_suite(SuiteConfig(suite=suite, grid=grid))]
-    assert len(records) == 663
+    assert len(records) == 1617
     assert len({r.family for r in records}) == len(WIDE_GRIDS)
-    assert max(r.vertices for r in records) == 69
+    assert max(r.vertices for r in records) == 150
+    assert all(max(r.vertices for r in records if r.family == family) > 100
+               for family in {r.family for r in records})
     bad = [r for r in records if r.status not in ("MATCH", "WITHIN_BOUNDS")]
     assert not bad, bad[:3]
 
@@ -293,7 +296,7 @@ def test_formula_ranges_lie_within_max_degree():
                 for suite, grid in WIDE_GRIDS.items()]
     tasks = [task for cfg in configs for task in verify.SUITES[cfg.suite](cfg)
              if task.check == "formula"]
-    assert len(tasks) == 64
+    assert len(tasks) == 71
     for task in tasks:
         deg = build_graph(build_ring(task.expr)).max_degree
         outside = [*range(-2 * deg - 2, -deg), *range(deg + 1, 2 * deg + 3)]
