@@ -4,6 +4,8 @@ Exit codes: 0 success, 1 usage or expression errors, 2 a cross-check
 disagreed (oracle vs solver, or a verification MISMATCH), 3 a search budget
 ran out before the answer was certain.  The ZDK_ORDER_CAP environment
 variable sets the ring order cap of every subcommand, verify included.
+``verify`` takes its run parameters from flags alone: ``--grid`` and the
+budgets make its SuiteConfig, ``--out`` and ``--format`` its report.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from typing import Optional
 
 from .expressions import ExprError, build_ring
@@ -19,9 +20,9 @@ from .graphs import NoGraphError, build_graph
 from .rings import CapacityError, nilradical, zero_divisors
 from .solver import (AllianceProblem, BudgetExceeded, oracle_solve,
                      oracle_spectrum, solve, spectrum)
-from .verify import (MISMATCH, SuiteConfig, SUITES, apply_config, emit_report,
-                     non_negative, parse_config_file, records_from_dicts,
-                     records_to_dicts, run_suite, summarize)
+from .verify import (MISMATCH, SuiteConfig, SUITES, emit_report, non_negative,
+                     records_from_dicts, records_to_dicts, run_suite,
+                     summarize)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -186,27 +187,20 @@ def cmd_spectrum(args) -> int:
     return rc
 
 
-def _suite_config_from_args(args) -> SuiteConfig:
-    cfg = SuiteConfig(suite=args.suite)
-    if args.config:
-        cfg = apply_config(cfg, parse_config_file(args.config))
-    flags = dict(suite=args.suite, out=args.out,
-                 fmt=args.format, node_budget=args.node_budget,
-                 time_budget=args.time_budget)
-    return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
-
-
 def cmd_verify(args) -> int:
-    cfg = _suite_config_from_args(args)
-    records = run_suite(cfg)
-    if cfg.out:
-        emit_report(records, cfg.fmt, cfg.out)
+    if args.format and not args.out:
+        raise ValueError("--format needs --out")
+    records = run_suite(SuiteConfig(args.suite, args.grid, args.node_budget,
+                                    args.time_budget))
+    fmt = args.format or "csv"
+    if args.out:
+        emit_report(records, fmt, args.out)
     summary = summarize(records)
     if args.json:
-        print(json.dumps({"suite": cfg.suite, "summary": summary,
+        print(json.dumps({"suite": args.suite, "summary": summary,
                           "records": records_to_dicts(records)}, indent=2))
     else:
-        print(f"suite {cfg.suite}: {summary['records']} records, "
+        print(f"suite {args.suite}: {summary['records']} records, "
               f"{summary['MATCH']} MATCH, "
               f"{summary['WITHIN_BOUNDS']} WITHIN_BOUNDS, "
               f"{summary['MISMATCH']} MISMATCH, {summary['SKIPPED']} SKIPPED")
@@ -215,8 +209,8 @@ def cmd_verify(args) -> int:
                 print(f"  MISMATCH {rec.ring} k={rec.k} "
                       f"predicted {rec.predicted_lo}..{rec.predicted_hi} "
                       f"solved {rec.solved}")
-        if cfg.out:
-            print(f"report written to {cfg.out} ({cfg.fmt})")
+        if args.out:
+            print(f"report written to {args.out} ({fmt})")
     return EXIT_MISMATCH if summary[MISMATCH] else EXIT_OK
 
 
@@ -260,15 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print one optimal alliance")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against brute force (small graphs)")
-    p.add_argument("--budget", type=int, default=None,
-                   help="search node budget")
+    p.add_argument("--budget", help="search node budget")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("spectrum", help="gamma_k^d for every k in [-D, D]")
     p.add_argument("expr")
-    p.add_argument("--budget", type=int, default=None,
-                   help="search node budget for each k")
+    p.add_argument("--budget", help="search node budget for each k")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check every k against one brute-force pass "
                         "(small graphs)")
@@ -277,11 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a formula-vs-solver suite")
     p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--config", help="key = value file with run parameters")
+    p.add_argument("--grid", help="';'-separated entries for the suite")
     p.add_argument("--out", help="write the report here")
-    p.add_argument("--format", choices=("csv", "md", "json"), default=None)
-    p.add_argument("--node-budget", type=int, default=None)
-    p.add_argument("--time-budget", type=float, default=None)
+    p.add_argument("--format", choices=("csv", "md", "json"))
+    p.add_argument("--node-budget", default=SuiteConfig.node_budget)
+    p.add_argument("--time-budget", default=SuiteConfig.time_budget)
     p.add_argument("--json", action="store_true",
                    help="print summary and records as JSON")
     p.set_defaults(func=cmd_verify)
@@ -303,10 +295,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         # argparse exits 2 on usage errors; keep 2 for mismatches instead
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        for name in ("budget", "node_budget", "time_budget"):
+        for name, kind in (("budget", int), ("node_budget", int),
+                           ("time_budget", float)):
             value = getattr(args, name, None)
-            if value is not None:  # budgets, typed by argparse
-                non_negative("--" + name.replace("_", "-"), value, type(value))
+            if value is not None:  # a budget, parsed here to name its flag
+                setattr(args, name, non_negative(
+                    "--" + name.replace("_", "-"), value, kind))
         return args.func(args)
     except ExprError as err:
         _print_expr_error(err)

@@ -34,15 +34,15 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 from . import formulas
-from .expressions import build_ring
+from .expressions import ExprError, build_ring, parse_ring_expr
 from .graphs import ZdGraph, build_graph
 from .rings import (CapacityError, FiniteRing, is_prime, local_structure,
-                    zero_divisors)
+                    prime_power, zero_divisors)
 from .solver import AllianceSolution, BudgetExceeded, oracle_spectrum, spectrum
 # perfbench --trace 1 wraps these two by name
 from .solver import oracle_solve, solve  # noqa: F401
@@ -87,31 +87,14 @@ class VerificationRecord:
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Run parameters for one verification suite.
-
-    The node budget (per k) and the time budget (per ring's spectrum) bound
-    every ring; ``None`` lifts a budget."""
+    """Run parameters for one verification suite.  ``grid`` holds
+    ``;``-separated entries in place of the suite's default grid.  The node
+    budget (per k) and the time budget (per ring's spectrum) bound every
+    ring; ``None`` lifts a budget."""
     suite: str
     grid: Optional[str] = None
     node_budget: Optional[int] = 50_000_000
     time_budget: Optional[float] = 300.0
-    out: Optional[str] = None
-    fmt: str = "csv"
-
-
-def parse_config_file(path: str) -> dict[str, str]:
-    """Plain key = value lines; # starts a comment, blanks ignored."""
-    out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
-    return out
 
 
 def _number(source: str, value, kind: type):
@@ -131,33 +114,8 @@ def non_negative(source: str, value, kind: type):
     if not number >= 0:
         what = "integer" if kind is int else "number"
         raise ValueError(f"{source}: expected a non-negative {what}, "
-                         f"got {value!r}")
+                         f"got {number!r}")
     return number
-
-
-def apply_config(cfg: SuiteConfig, options: dict[str, str]) -> SuiteConfig:
-    updates: dict = {}
-    for key, value in options.items():
-        if key == "suite":
-            updates["suite"] = value
-        elif key == "grid":
-            updates["grid"] = value
-        elif key in ("node_budget", "time_budget"):
-            kind = int if key == "node_budget" else float
-            updates[key] = (None if value.lower() == "none"
-                            else non_negative(f"config key {key!r}", value,
-                                              kind))
-        elif key == "out":
-            updates["out"] = value
-        elif key == "format":
-            if value not in _EMITTERS:
-                raise ValueError(f"config key 'format': expected one of "
-                                 f"{', '.join(sorted(_EMITTERS))}, "
-                                 f"got {value!r}")
-            updates["fmt"] = value
-        else:
-            raise ValueError(f"unknown config key {key!r}")
-    return replace(cfg, **updates)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +153,9 @@ KNOWN_GRAPH_CORPUS = (
 
 
 def field_expr(q: int) -> str:
+    """The expression of the field of order q; q must be a prime power."""
+    if prime_power(q) is None:
+        raise ValueError(f"{q} is not a prime power")
     return f"Z{q}" if is_prime(q) else f"GF({q})"
 
 
@@ -406,27 +367,47 @@ def _run_task(cfg: SuiteConfig, task: RingTask) -> list[VerificationRecord]:
 # suite builders
 
 
-def _grid_pairs(cfg: SuiteConfig, default: Sequence[tuple[int, int]]):
+def _pair(entry: str) -> tuple[int, int]:
+    try:
+        a, b = (int(v) for v in entry.split(","))
+    except ValueError:
+        raise ValueError("expected two integers 'a,b'") from None
+    return a, b
+
+
+def _integer(entry: str) -> int:
+    try:
+        return int(entry)
+    except ValueError:
+        raise ValueError("expected an integer") from None
+
+
+def _ring_text(entry: str) -> str:
+    parse_ring_expr(entry)
+    return entry
+
+
+def _grid_tasks(default: Sequence, parse: Callable, make: Callable,
+                cfg: SuiteConfig) -> list[RingTask]:
+    """``make`` of the ``default`` values, or of ``parse`` of each entry of
+    ``cfg.grid``, each checked by its formula before any ring is built.  A
+    ValueError names its entry; an expression error points into it."""
     if cfg.grid is None:
-        return tuple(default)
-    pairs = []
-    for chunk in cfg.grid.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+        return [make(value) for value in default]
+    entries = [s.strip() for s in cfg.grid.split(";") if s.strip()]
+    if not entries:
+        raise ValueError(f"grid {cfg.grid!r} has no entries")
+    tasks = []
+    for entry in entries:
         try:
-            a, b = (int(v) for v in chunk.split(","))
-        except ValueError:
-            raise ValueError(f"grid entry {chunk!r}: expected two integers "
-                             "'a,b'") from None
-        pairs.append((a, b))
-    return tuple(pairs)
-
-
-def _grid_items(cfg: SuiteConfig, default: Sequence):
-    if cfg.grid is None:
-        return tuple(default)
-    return tuple(s.strip() for s in cfg.grid.split(";") if s.strip())
+            tasks.append(make(parse(entry)))
+            if tasks[-1].predict:  # the family's own parameter check
+                tasks[-1].predict(0)
+        except ExprError:
+            raise
+        except ValueError as exc:
+            raise ValueError(f"grid entry {entry!r}: {exc}") from None
+    return tasks
 
 
 def _pinned(values: dict[int, int], k: int) -> formulas.Prediction:
@@ -436,94 +417,80 @@ def _pinned(values: dict[int, int], k: int) -> formulas.Prediction:
 
 
 def _build_tables(cfg: SuiteConfig) -> list[RingTask]:
+    if cfg.grid is not None:
+        raise ValueError("suite 'tables' takes no grid")
     return [RingTask("formula", expr, "tables", "pinned-spectrum",
                      partial(_pinned, values))
             for expr, values in PINNED_SPECTRA.items()]
 
 
-def _build_zpn(cfg: SuiteConfig) -> list[RingTask]:
-    return [RingTask("formula", f"Z{p ** n}", "zpn", f"p={p};n={n}",
-                     partial(formulas.predict_prime_power, p, n))
-            for p, n in _grid_pairs(cfg, ZPN_GRID)]
+def _zpn(pn: tuple[int, int]) -> RingTask:
+    p, n = pn
+    return RingTask("formula", f"Z{p ** n}", "zpn", f"p={p};n={n}",
+                    partial(formulas.predict_prime_power, p, n))
 
 
-def _build_fields(cfg: SuiteConfig) -> list[RingTask]:
-    return [RingTask("formula", f"{field_expr(f)} x {field_expr(q)}",
-                     "two_fields", f"f={f};q={q}",
-                     partial(formulas.predict_two_fields, f, q))
-            for f, q in _grid_pairs(cfg, FIELD_PAIRS)]
+def _two_fields(fq: tuple[int, int]) -> RingTask:
+    f, q = fq
+    return RingTask("formula", f"{field_expr(f)} x {field_expr(q)}",
+                    "two_fields", f"f={f};q={q}",
+                    partial(formulas.predict_two_fields, f, q))
 
 
-def _build_z2z2F(cfg: SuiteConfig) -> list[RingTask]:
-    tasks = []
-    for item in _grid_items(cfg, Z2Z2F_SIZES):
-        try:
-            f = int(item)
-        except ValueError:
-            raise ValueError(f"grid entry {item!r}: expected an integer") from None
-        tasks.append(RingTask("formula", f"Z2 x Z2 x {field_expr(f)}",
-                              "z2z2F", f"f={f}",
-                              partial(formulas.predict_z2z2_field, f)))
-    return tasks
+def _z2z2F(f: int) -> RingTask:
+    return RingTask("formula", f"Z2 x Z2 x {field_expr(f)}", "z2z2F",
+                    f"f={f}", partial(formulas.predict_z2z2_field, f))
 
 
-def _build_z2FK(cfg: SuiteConfig) -> list[RingTask]:
-    return [RingTask("formula", f"Z2 x {field_expr(f)} x {field_expr(q)}",
-                     "z2FK", f"f={f};q={q}",
-                     partial(formulas.predict_z2_two_fields, f, q))
-            for f, q in _grid_pairs(cfg, Z2FK_PAIRS)]
+def _z2FK(fq: tuple[int, int]) -> RingTask:
+    f, q = fq
+    return RingTask("formula", f"Z2 x {field_expr(f)} x {field_expr(q)}",
+                    "z2FK", f"f={f};q={q}",
+                    partial(formulas.predict_z2_two_fields, f, q))
 
 
-def _build_z2local(cfg: SuiteConfig) -> list[RingTask]:
-    tasks = []
-    for base_expr in _grid_items(cfg, Z2LOCAL_RINGS):
-        base = build_ring(base_expr)
-        struct = local_structure(base)
-        if struct is None or len(struct.maximal_ideal) < 2:
-            raise ValueError(f"{base_expr} is not a local non-field ring")
-        r, z = base.order, len(struct.maximal_ideal)
-        index2 = struct.nilpotency_index == 2
-        tasks.append(RingTask(
-            "formula", f"Z2 x {base_expr}", "z2_local",
-            f"R={base_expr};r={r};z={z};index2={int(index2)}",
-            partial(formulas.predict_z2_local, r, z, index2)))
-    return tasks
+def _z2local(base_expr: str) -> RingTask:
+    base = build_ring(base_expr)
+    struct = local_structure(base)
+    if struct is None or len(struct.maximal_ideal) < 2:
+        raise ValueError(f"{base_expr} is not a local non-field ring")
+    r, z = base.order, len(struct.maximal_ideal)
+    index2 = struct.nilpotency_index == 2
+    return RingTask("formula", f"Z2 x {base_expr}", "z2_local",
+                    f"R={base_expr};r={r};z={z};index2={int(index2)}",
+                    partial(formulas.predict_z2_local, r, z, index2))
 
 
-def _build_idealizations(cfg: SuiteConfig) -> list[RingTask]:
-    pairs = _grid_pairs(cfg, IDEALIZATION_GRID)
-    for p, n in pairs:  # the formula needs M^2 = 0, so Z_p a field
-        if not is_prime(p):
-            raise ValueError(f"grid entry '{p},{n}': {p} is not prime")
-    return [RingTask("formula", f"Id(Z{p}, {n})", "idealization",
-                     f"p={p};n={n}",
-                     partial(formulas.predict_local_index2, p ** n))
-            for p, n in pairs]
+def _idealization(pn: tuple[int, int]) -> RingTask:
+    p, n = pn
+    if not is_prime(p):  # the formula needs M^2 = 0, so Z_p a field
+        raise ValueError(f"{p} is not prime")
+    return RingTask("formula", f"Id(Z{p}, {n})", "idealization",
+                    f"p={p};n={n}",
+                    partial(formulas.predict_local_index2, p ** n))
 
 
 def _build_bounds(cfg: SuiteConfig) -> list[RingTask]:
-    tasks = [RingTask("bounds", expr, "bounds")
-             for expr in _grid_items(cfg, BOUNDS_RINGS)]
+    tasks = _grid_tasks(BOUNDS_RINGS, _ring_text,
+                        partial(RingTask, "bounds", family="bounds"), cfg)
     if cfg.grid is None:
         tasks.append(RingTask("pinned", "Z2 x Z4", "bounds"))
     return tasks
 
 
-def _build_known_graphs(cfg: SuiteConfig) -> list[RingTask]:
-    return [RingTask("oracle", expr, "known_graphs", "solve-vs-oracle")
-            for expr in _grid_items(cfg, KNOWN_GRAPH_CORPUS)]
-
-
 SUITES: dict[str, Callable[[SuiteConfig], list[RingTask]]] = {
     "tables": _build_tables,
-    "zpn": _build_zpn,
-    "fields": _build_fields,
-    "z2z2F": _build_z2z2F,
-    "z2FK": _build_z2FK,
-    "z2local": _build_z2local,
-    "idealizations": _build_idealizations,
+    "zpn": partial(_grid_tasks, ZPN_GRID, _pair, _zpn),
+    "fields": partial(_grid_tasks, FIELD_PAIRS, _pair, _two_fields),
+    "z2z2F": partial(_grid_tasks, Z2Z2F_SIZES, _integer, _z2z2F),
+    "z2FK": partial(_grid_tasks, Z2FK_PAIRS, _pair, _z2FK),
+    "z2local": partial(_grid_tasks, Z2LOCAL_RINGS, str, _z2local),
+    "idealizations": partial(_grid_tasks, IDEALIZATION_GRID, _pair,
+                             _idealization),
     "bounds": _build_bounds,
-    "known_graphs": _build_known_graphs,
+    "known_graphs": partial(_grid_tasks, KNOWN_GRAPH_CORPUS, _ring_text,
+                            partial(RingTask, "oracle", family="known_graphs",
+                                    params="solve-vs-oracle")),
 }
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from zdalliance import formulas
 from zdalliance.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -111,70 +113,80 @@ def test_parse_error_exit_1_with_caret(capsys):
     assert "   ^" in err
 
 
-def test_verify_grid_parse_error_points_into_grid_entry(capsys, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("grid = Z4; 2\n")
-    code, _, err = run(capsys, "verify", "known_graphs", "--config", str(cfg))
+def test_verify_grid_parse_error_points_into_grid_entry(capsys):
+    code, _, err = run(capsys, "verify", "known_graphs", "--grid", "Z4; 2")
     assert code == 1
     assert err.splitlines() == ["error: expected a ring term (offset 0)",
                                 "  2", "  ^"]
 
 
-@pytest.mark.parametrize("argv, config, order_cap, message", [
-    (["verify", "zpn"], "grid = 2;3", None,
+@pytest.mark.parametrize("argv, order_cap, message", [
+    (["verify", "zpn", "--grid", "2;3"], None,
      "grid entry '2': expected two integers 'a,b'"),
-    (["verify", "zpn"], "grid = 2,3,4", None,
+    (["verify", "zpn", "--grid", "2,3,4"], None,
      "grid entry '2,3,4': expected two integers 'a,b'"),
-    (["verify", "z2z2F"], "grid = x", None,
+    (["verify", "z2z2F", "--grid", "x"], None,
      "grid entry 'x': expected an integer"),
-    (["verify", "tables"], "node_budget = lots", None,
-     "config key 'node_budget': expected an integer, got 'lots'"),
-    (["verify", "tables"], "time_budget = soon", None,
-     "config key 'time_budget': expected a number, got 'soon'"),
-    (["ring-info", "Z4"], None, "abc",
+    (["verify", "tables", "--node-budget", "lots"], None,
+     "--node-budget: expected an integer, got 'lots'"),
+    (["verify", "tables", "--time-budget", "soon"], None,
+     "--time-budget: expected a number, got 'soon'"),
+    (["ring-info", "Z4"], "abc",
      "ZDK_ORDER_CAP: expected an integer, got 'abc'"),
-    (["ring-info", "Z4"], None, "-5",
+    (["ring-info", "Z4"], "-5",
      "ZDK_ORDER_CAP: expected an integer of at least 2, got '-5'"),
-    (["verify", "tables"], None, "1",
+    (["verify", "tables"], "1",
      "ZDK_ORDER_CAP: expected an integer of at least 2, got '1'"),
-    (["verify", "zpn"], "grid = 2,4", "10", "Z16 exceeds the order cap 10"),
-    (["verify", "idealizations"], "grid = 4,1", None,
+    (["verify", "zpn", "--grid", "2,4"], "10",
+     "Z16 exceeds the order cap 10"),
+    (["verify", "idealizations", "--grid", "4,1"], None,
      "grid entry '4,1': 4 is not prime"),
-    (["solve", "Z12", "-k", "0", "--budget", "-3"], None, None,
+    (["solve", "Z12", "-k", "0", "--budget", "-3"], None,
      "--budget: expected a non-negative integer, got -3"),
-    (["spectrum", "Z9", "--budget", "-1"], None, None,
+    (["spectrum", "Z9", "--budget", "-1"], None,
      "--budget: expected a non-negative integer, got -1"),
-    (["verify", "tables", "--node-budget", "-1"], None, None,
+    (["verify", "tables", "--node-budget", "-1"], None,
      "--node-budget: expected a non-negative integer, got -1"),
-    (["verify", "tables", "--time-budget", "-0.5"], None, None,
+    (["verify", "tables", "--time-budget", "-0.5"], None,
      "--time-budget: expected a non-negative number, got -0.5"),
-    (["verify", "tables"], "oracle_max = -1", None,
-     "unknown config key 'oracle_max'"),
-    (["verify", "tables"], "node_budget = -1", None,
-     "config key 'node_budget': expected a non-negative integer, got '-1'"),
-    (["verify", "tables"], "time_budget = -2.5", None,
-     "config key 'time_budget': expected a non-negative number, got '-2.5'"),
-    (["verify", "tables"], "time_budget = nan", None,
-     "config key 'time_budget': expected a non-negative number, got 'nan'"),
-    (["verify", "tables"], "format = xml", None,
-     "config key 'format': expected one of csv, json, md, got 'xml'"),
-    (["verify", "tables"], "jobs = 2", None, "unknown config key 'jobs'"),
-    (["verify", "tables"], "max_vertices = 40", None,
-     "unknown config key 'max_vertices'"),
+    (["verify", "tables", "--time-budget", "-2.5"], None,
+     "--time-budget: expected a non-negative number, got -2.5"),
+    (["verify", "tables", "--time-budget", "nan"], None,
+     "--time-budget: expected a non-negative number, got nan"),
+    (["verify", "zpn", "--grid", "4,2"], None,
+     "grid entry '4,2': 4 is not prime"),
+    (["verify", "zpn", "--grid", "3,2; 4,2"], None,
+     "grid entry '4,2': 4 is not prime"),
+    (["verify", "zpn", "--grid", "2,1"], None,
+     "grid entry '2,1': prime-power family needs exponent >= 2, got 1"),
+    (["verify", "fields", "--grid", "6,7"], None,
+     "grid entry '6,7': 6 is not a prime power"),
+    (["verify", "fields", "--grid", "7,5"], None,
+     "grid entry '7,5': need 2 <= |F| <= |K|, got 7, 5"),
+    (["verify", "z2z2F", "--grid", "1"], None,
+     "grid entry '1': 1 is not a prime power"),
+    (["verify", "z2FK", "--grid", "2,3"], None,
+     "grid entry '2,3': need 3 <= |F| <= |K|, got 2, 3"),
+    (["verify", "z2local", "--grid", "Z6"], None,
+     "grid entry 'Z6': Z6 is not a local non-field ring"),
+    (["verify", "zpn", "--grid", ";"], None, "grid ';' has no entries"),
+    (["verify", "known_graphs", "--grid", ""], None,
+     "grid '' has no entries"),
+    (["verify", "tables", "--grid", "2,3"], None,
+     "suite 'tables' takes no grid"),
+    (["verify", "tables", "--format", "md"], None, "--format needs --out"),
 ], ids=["pair-grid-one-value", "pair-grid-three-values", "int-grid",
-        "config-node-budget", "config-float", "order-cap-env",
+        "node-budget-not-integer", "time-budget-not-number", "order-cap-env",
         "order-cap-env-negative", "order-cap-env-one", "order-cap-verify",
         "idealization-grid-not-prime", "solve-budget", "spectrum-budget",
-        "node-budget-flag", "time-budget-flag", "config-oracle-max",
-        "config-node-budget-negative", "config-time-budget-negative",
-        "config-time-budget-nan", "config-format", "config-jobs",
-        "config-max-vertices-unknown"])
+        "node-budget-flag", "time-budget-flag", "time-budget-flag-negative",
+        "time-budget-nan", "zpn-grid-not-prime", "zpn-grid-second-entry",
+        "zpn-grid-exponent-one", "fields-grid-not-prime-power",
+        "fields-grid-order", "z2z2F-grid-one", "z2FK-grid-small-field",
+        "z2local-grid-not-local", "grid-no-entries", "grid-empty",
+        "tables-grid", "format-without-out"])
 def test_malformed_run_parameter_names_its_source(
-        capsys, tmp_path, monkeypatch, argv, config, order_cap, message):
-    if config is not None:
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(config + "\n")
-        argv = argv + ["--config", str(cfg)]
+        capsys, monkeypatch, argv, order_cap, message):
     if order_cap is not None:
         monkeypatch.setenv("ZDK_ORDER_CAP", order_cap)
     code, out, err = run(capsys, *argv)
@@ -183,13 +195,27 @@ def test_malformed_run_parameter_names_its_source(
     assert err == f"error: {message}\n"
 
 
+def test_bad_grid_entry_builds_no_ring(capsys, monkeypatch):
+    # Z9 comes first in the grid; the bad second entry must stop the run
+    # before Z9 is built, let alone solved
+    import zdalliance.verify as V
+
+    def no_build(expr):
+        raise AssertionError(f"built {expr}")
+
+    monkeypatch.setattr(V, "build_ring", no_build)
+    code, _, err = run(capsys, "verify", "zpn", "--grid", "3,2; 4,2")
+    assert code == 1
+    assert err == "error: grid entry '4,2': 4 is not prime\n"
+
+
 def test_semantic_error_exit_1(capsys):
     code, _, err = run(capsys, "ring-info", "GF(6)")
     assert code == 1
     assert "GF" in err
 
 
-def test_order_cap_env(capsys, tmp_path, monkeypatch):
+def test_order_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("ZDK_ORDER_CAP", "10")
     code, _, err = run(capsys, "ring-info", "Z100")
     assert code == 1
@@ -198,10 +224,8 @@ def test_order_cap_env(capsys, tmp_path, monkeypatch):
     code, _, _ = run(capsys, "ring-info", "Z100")
     assert code == 0
     # verify obeys the same cap: Z4913 = Z_{17^3} is above the default 4096
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("grid = 17,3\n")
     monkeypatch.setenv("ZDK_ORDER_CAP", "5000")
-    code, out, err = run(capsys, "verify", "zpn", "--config", str(cfg))
+    code, out, err = run(capsys, "verify", "zpn", "--grid", "17,3")
     assert code == 0, err
     assert out.splitlines()[0] == ("suite zpn: 304 records, 304 MATCH, "
                                    "0 WITHIN_BOUNDS, 0 MISMATCH, 0 SKIPPED")
@@ -212,6 +236,21 @@ def test_unknown_subcommand_exit_1(capsys):
     assert main([]) == 1
     assert main(["verify", "tables", "--jobs", "2"]) == 1
     assert main(["verify", "tables", "--max-vertices", "4"]) == 1
+    assert main(["verify", "zpn", "--config", "F"]) == 1
+
+
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
+    # each line of the README's CLI block, in order: a flag the CLI no
+    # longer takes cannot linger in the docs
+    block = README.read_text().split("## CLI\n\n```\n", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    assert len(lines) == 9
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        program, *argv = shlex.split(line)
+        assert program == "zdalliance"
+        assert main(argv) == 0, line
+        capsys.readouterr()
 
 
 def test_cli_import_starts_no_process_machinery():
@@ -338,25 +377,11 @@ def test_verify_mismatch_exits_2(capsys, monkeypatch):
     assert "MISMATCH Z8" in out
 
 
-def test_verify_config_file(capsys, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("grid = 3,2\n")
-    code, out, _ = run(capsys, "verify", "zpn", "--config", str(cfg))
+def test_verify_grid_flag(capsys):
+    code, out, _ = run(capsys, "verify", "zpn", "--grid", "3,2")
     assert code == 0
     assert "3 records" in out
     assert "3 MATCH" in out
-
-
-def test_verify_flags_override_config_file(capsys, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("suite = zpn\nformat = md\n")
-    out_file = tmp_path / "tables.csv"
-    code, out, _ = run(capsys, "verify", "tables", "--config", str(cfg),
-                       "--format", "csv", "--out", str(out_file))
-    assert code == 0
-    assert "suite tables: 18 records" in out
-    assert "(csv)" in out
-    assert out_file.read_text().startswith("family,params,ring,")
 
 
 def test_report_row_missing_key_exit_1(capsys, tmp_path):

@@ -11,8 +11,7 @@ import pytest
 
 from zdalliance import (SuiteConfig, build_graph, build_ring, run_suite,
                         solver, summarize, verify)
-from zdalliance.verify import (CSV_COLUMNS, emit_report, parse_config_file,
-                               apply_config, records_from_dicts,
+from zdalliance.verify import (CSV_COLUMNS, emit_report, records_from_dicts,
                                records_to_dicts)
 
 
@@ -216,33 +215,6 @@ def test_emit_report_writes_file(tmp_path):
     out = tmp_path / "report.csv"
     text = emit_report(records, "csv", str(out))
     assert out.read_text() == text
-
-
-def test_config_file(tmp_path):
-    cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text(
-        "# a comment\n"
-        "suite = zpn\n"
-        "node_budget = 1000000   # trailing comment\n"
-        "time_budget = 60\n"
-        "grid = 2,3; 3,2\n"
-        "format = md\n")
-    options = parse_config_file(str(cfg_file))
-    cfg = apply_config(SuiteConfig(suite="tables"), options)
-    assert cfg.suite == "zpn"
-    assert cfg.node_budget == 1000000
-    assert cfg.time_budget == 60.0
-    assert cfg.grid == "2,3; 3,2"
-    assert cfg.fmt == "md"
-
-
-def test_config_file_rejects_garbage(tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("this is not a key value line\n")
-    with pytest.raises(ValueError, match="expected"):
-        parse_config_file(str(bad))
-    with pytest.raises(ValueError, match="unknown config key"):
-        apply_config(SuiteConfig(suite="tables"), {"wat": "1"})
 
 
 # one grid per formula family, each reaching past 100 vertices, with rings
