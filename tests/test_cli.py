@@ -147,6 +147,8 @@ def test_verify_grid_parse_error_points_into_grid_entry(capsys):
      "--budget: expected a non-negative integer, got -1"),
     (["verify", "tables", "--node-budget", "-1"], None,
      "--node-budget: expected a non-negative integer, got -1"),
+    (["verify", "tables", "--node-budget", "-4"], None,
+     "--node-budget: expected a non-negative integer, got -4"),
     (["verify", "tables", "--time-budget", "-0.5"], None,
      "--time-budget: expected a non-negative number, got -0.5"),
     (["verify", "tables", "--time-budget", "-2.5"], None,
@@ -179,8 +181,8 @@ def test_verify_grid_parse_error_points_into_grid_entry(capsys):
         "node-budget-not-integer", "time-budget-not-number", "order-cap-env",
         "order-cap-env-negative", "order-cap-env-one", "order-cap-verify",
         "idealization-grid-not-prime", "solve-budget", "spectrum-budget",
-        "node-budget-flag", "time-budget-flag", "time-budget-flag-negative",
-        "time-budget-nan", "zpn-grid-not-prime", "zpn-grid-second-entry",
+        "node-budget-flag", "node-budget-flag-negative", "time-budget-flag",
+        "time-budget-flag-negative", "time-budget-nan", "zpn-grid-not-prime", "zpn-grid-second-entry",
         "zpn-grid-exponent-one", "fields-grid-not-prime-power",
         "fields-grid-order", "z2z2F-grid-one", "z2FK-grid-small-field",
         "z2local-grid-not-local", "grid-no-entries", "grid-empty",
