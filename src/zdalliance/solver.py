@@ -19,15 +19,15 @@ its own neighbor.
 
 Otherwise ``solve`` runs iterative deepening on the target cardinality s
 over the core's classes only, since every alliance lies inside the core.
-Starting from the analytic lower bounds it performs, for each s, a
-depth-first branch-and-bound in a fixed class order (degree descending,
-ties by lowest vertex).  A node decides the next class: its children take
-c = min(n_i, b), ..., 0 of its n_i members, largest first, where b is the
-number of picks left, and the set keeps the first c members of each
-class, which is also how a witness is read off.  On a graph whose classes
-are all singletons this is the include-first vertex search.  The search
-runs on an explicit stack, so its depth does not touch the interpreter's
-recursion limit.  A partial set is pruned when
+Starting from the analytic lower bounds it performs one round per target
+s: a depth-first branch-and-bound in a fixed class order (degree
+descending, ties by lowest vertex).  A node decides the next class: its
+children take c = min(n_i, b), ..., 0 of its n_i members, largest first,
+where b is the number of picks left, and the set keeps the first c
+members of each class, which is also how a witness is read off.  On a
+graph whose classes are all singletons this is the include-first vertex
+search.  The search runs on an explicit stack, so its depth does not
+touch the interpreter's recursion limit.  A partial set is pruned when
 
 * fewer undecided members remain than the budget requires,
 * some chosen class's residual need r_x = ⌈(deg x + k)/2⌉ - deg_S(x)
@@ -44,13 +44,54 @@ recursion limit.  A partial set is pruned when
   sets are pairwise disjoint need separate picks.
 
 A node is one partial count vector taken off the stack; ``nodes`` and the
-node budget count them.  The first feasible set found at the smallest s
-is optimal because every smaller cardinality was exhausted; the deepening
-stops below s = |core|, because the core itself is the only candidate of
-that size and a witness.  Node/time budgets, when given, raise
+node budget count them.
+
+A failed round also says which later rounds would fail, as in the
+threshold rule of IDA* (Korf, "Depth-first iterative-deepening: an
+optimal admissible tree search", Artificial Intelligence 27, 1985).  The
+rule that prunes a node of count c at budget b returns its *threshold*:
+the least budget at which that rule stops pruning the node.  Every rule
+prunes the node at each budget from b up to one below its threshold, and
+a rule that no larger budget lifts returns "never":
+
+=====================================  ==================================
+node                                   threshold
+=====================================  ==================================
+fewer undecided members than b         never
+r_x above its undecided neighbors      never
+an undominated class with no cover     never
+r_x > b                                r_x
+forced picks cost > b                  the cost
+greedy cover bound short               the least budget whose greedy sum
+                                       reaches the uncovered count; never
+                                       when no budget does
+disjoint demands total > b             the full total of the scan
+expanded with n_i > b                  b + 1 (children c > b were not
+                                       made)
+failing leaf (b = 0)                   1
+=====================================  ==================================
+
+The round at s returns T, the least c + threshold over its frontier, and
+the next round runs at T instead of at s + 1.  No cardinality s' with
+s < s' < T can succeed: follow the counts of a set of size s' down the
+round-s tree.  The path either stops at a pruned node of count c, where
+s - c < s' - c < T - c ≤ its threshold, so the same rule prunes the node
+at budget s' - c and rules the set out; or it reaches an expanded class
+of which it takes more than b members, or a leaf, and both put T at
+s + 1, leaving no s' between.  So the first round that succeeds is at
+γ_k, as with one round per s, and it is the same search, so its witness
+is unchanged; only ``nodes`` falls.  A round that fails is
+exhausted, so the first feasible set is optimal; the deepening stops
+below s = |core|, because the core itself is the only candidate of that
+size and a witness.  Node/time budgets, when given, raise
 :class:`BudgetExceeded` instead of returning a wrong answer.  At
 k = -max_degree every dominating set qualifies, so the domination number
 is that k's answer.
+
+The class tables that do not depend on k (representatives, neighbor
+class masks, sizes, members, the degree order) are built once per
+``solve``, ``spectrum`` or ``domination_number`` call; each k adds only
+its needs, the core's class order and its suffixes.
 
 ``spectrum`` is the one entry point for many values of k.  It uses the
 exact monotonicity of the problem: a global defensive (k+1)-alliance is
@@ -132,38 +173,61 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-class _Search:
-    """Depth-first cardinality-s rounds over the twin classes of ``core``;
-    shared across s for one solve.
+# the threshold of a prune that no larger budget lifts
+_NEVER = 1 << 62
 
-    The class tables are indexed by position in ``graph.twin_classes``.
-    The chosen set is also kept as a vertex bitset (the first c members
-    of each decided class), so deg_S of a class and the coverage of an
-    undecided class are each one popcount against the neighborhood of the
-    class's lowest member, its representative."""
 
-    def __init__(self, graph: ZdGraph, k: int, core: int,
-                 node_budget: Optional[int], deadline: Optional[float]):
-        self.node_budget = node_budget
-        self.deadline = deadline
-        self.nodes = 0
-        self.full = graph.full_mask
+class _ClassTables:
+    """The k-independent twin-class tables of one graph, built once per
+    ``solve``, ``spectrum`` or ``domination_number`` call and shared by
+    its values of k.
+
+    The tables are indexed by position in ``graph.twin_classes``.  A
+    class's representative is its lowest member; its neighborhood stands
+    for every member's.  ``by_degree`` is the search order over all
+    classes: degree descending, ties by lowest vertex."""
+
+    def __init__(self, graph: ZdGraph):
+        self.graph = graph
         classes = graph.twin_classes
         self.classes = classes
         reps = [(c & -c).bit_length() - 1 for c in classes]
+        self.reps = reps
         adj = graph.adj
         self.rep_adj = [adj[v] for v in reps]
         self.rep_closed = [graph.closed[v] for v in reps]
         self.size = [c.bit_count() for c in classes]
-        # the neighbors a member needs inside the set: ⌈(deg + k)/2⌉
-        self.need = [_ceil_div(graph.degree[v] + k, 2) for v in reps]
         # neighbour-class masks, with a clique class's own bit set
         self.nb = [sum(1 << j for j, c in enumerate(classes) if a & c)
                    for a in self.rep_adj]
         self.clique = [(nb >> i) & 1 for i, nb in enumerate(self.nb)]
         self.all_classes = (1 << len(classes)) - 1
-        order = sorted((i for i, c in enumerate(classes) if c & core),
-                       key=lambda i: (-graph.degree[reps[i]], reps[i]))
+        self.by_degree = sorted(range(len(classes)),
+                                key=lambda i: (-graph.degree[reps[i]], reps[i]))
+        self.members = [tuple(bits(c)) for c in classes]
+
+
+class _Search:
+    """Depth-first cardinality-s rounds over the twin classes of ``core``
+    for one k; shared across s for one solve.
+
+    Only ``need``, the class order and its suffixes depend on k.  The
+    chosen set is also kept as a vertex bitset (the first c members of
+    each decided class), so deg_S of a class and the coverage of an
+    undecided class are each one popcount against the neighborhood of
+    the class's representative."""
+
+    def __init__(self, tables: _ClassTables, k: int, core: int,
+                 node_budget: Optional[int], deadline: Optional[float]):
+        self.tables = tables
+        self.node_budget = node_budget
+        self.deadline = deadline
+        self.nodes = 0
+        degree = tables.graph.degree
+        # the neighbors a member needs inside the set: ⌈(deg + k)/2⌉
+        self.need = [_ceil_div(degree[v] + k, 2) for v in tables.reps]
+        classes, size = tables.classes, tables.size
+        order = [i for i in tables.by_degree if classes[i] & core]
         self.order = order
         # undecided classes from each position on: as a class mask, as a
         # vertex bitset, and as a member count
@@ -175,8 +239,7 @@ class _Search:
             i = order[pos]
             self.undecided[pos] = self.undecided[pos + 1] | (1 << i)
             self.rem[pos] = self.rem[pos + 1] | classes[i]
-            self.rem_size[pos] = self.rem_size[pos + 1] + self.size[i]
-        self.members = [tuple(bits(c)) for c in classes]
+            self.rem_size[pos] = self.rem_size[pos + 1] + size[i]
 
     def _tick(self) -> None:
         self.nodes += 1
@@ -187,23 +250,30 @@ class _Search:
             raise BudgetExceeded("time budget exhausted")
 
     def _final_ok(self, s_mask: int, chosen: int) -> bool:
-        rep_adj, need = self.rep_adj, self.need
+        rep_adj, need = self.tables.rep_adj, self.need
         for x in bits(chosen):
             if (rep_adj[x] & s_mask).bit_count() < need[x]:
                 return False
         return True
 
-    def run(self, s: int) -> Optional[int]:
+    def run(self, s: int) -> tuple[Optional[int], int]:
         """Depth-first search for a cardinality-s set on an explicit stack of
         (position, chosen vertices, covered vertices, chosen classes, covered
         classes, count) entries; the children of a class take c = min(n, b),
         ..., 0 of its n members and are pushed smallest first, so the
-        largest count is explored first."""
+        largest count is explored first.
+
+        Returns (witness, s) when a set is found, else (None, s') where s'
+        is the least cardinality above s that the round's frontier leaves
+        open (see the module docstring)."""
         # the in-search clock is only polled every 1024 nodes; small
         # searches still have to notice an already-expired deadline
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceeded("time budget exhausted")
-        all_classes = self.all_classes
+        t = self.tables
+        all_classes, order, size = t.all_classes, self.order, t.size
+        classes, members, rep_adj, nb = t.classes, t.members, t.rep_adj, t.nb
+        nxt = _NEVER
         stack = [(0, 0, 0, 0, 0, 0)]
         while stack:
             pos, s_mask, cov, chosen, ccov, count = stack.pop()
@@ -211,37 +281,48 @@ class _Search:
             b = s - count
             if b == 0:
                 if ccov == all_classes and self._final_ok(s_mask, chosen):
-                    return s_mask
+                    return s_mask, s
+                nxt = s + 1
                 continue
-            if self._pruned(pos, s_mask, cov, chosen, ccov, b):
+            lift = self._pruned(pos, s_mask, cov, chosen, ccov, b)
+            if lift:
+                if count + lift < nxt:
+                    nxt = count + lift
                 continue
-            i = self.order[pos]
-            n = self.size[i]
+            i = order[pos]
+            n = size[i]
+            if n > b:
+                # the children c = b + 1 .. n first appear at s + 1
+                nxt = s + 1
             stack.append((pos + 1, s_mask, cov, chosen, ccov, count))
-            members = self.members[i]
-            cls = self.classes[i]
+            cls_members = members[i]
+            cls = classes[i]
             bit = 1 << i
-            child_cov = cov | self.rep_adj[i]
-            child_ccov = ccov | self.nb[i]
+            child_cov = cov | rep_adj[i]
+            child_ccov = ccov | nb[i]
             for c in range(1, (n if n < b else b) + 1):
                 if c == n:
                     take = cls
                     child_ccov |= bit
                 else:
-                    take = cls & ((2 << members[c - 1]) - 1)
+                    take = cls & ((2 << cls_members[c - 1]) - 1)
                 stack.append((pos + 1, s_mask | take, child_cov | take,
                               chosen | bit, child_ccov, count + c))
-        return None
+        return None, nxt
 
     def _pruned(self, pos: int, s_mask: int, cov: int, chosen: int,
-                ccov: int, b: int) -> bool:
-        """True when no completion with b more picks from the classes at
-        position pos on can be a solution."""
+                ccov: int, b: int) -> int:
+        """0 when some completion with b more picks from the classes at
+        position pos on may be a solution.  Otherwise the threshold of the
+        rule that rules them out: that rule prunes the node at every budget
+        from b up to, not including, the threshold, and at every budget
+        from b on when it returns ``_NEVER``."""
         if self.rem_size[pos] < b:
-            return True
+            return _NEVER
+        t = self.tables
         rem = self.rem[pos]
         undecided = self.undecided[pos]
-        rep_adj, need, nb = self.rep_adj, self.need, self.nb
+        rep_adj, need, nb = t.rep_adj, self.need, t.nb
         # (picks, option classes): disjoint options need separate picks
         demands = []
         m = chosen
@@ -252,17 +333,19 @@ class _Search:
             a = rep_adj[x]
             r = need[x] - (a & s_mask).bit_count()
             if r > 0:
-                if r > b or r > (a & rem).bit_count():
-                    return True
+                if r > (a & rem).bit_count():
+                    return _NEVER
+                if r > b:
+                    return r
                 demands.append((r, nb[x] & undecided))
 
-        und = self.all_classes & ~ccov
+        und = t.all_classes & ~ccov
         if und:
             # every undominated class must still be coverable from the
             # undecided classes; a class whose only possible cover is one
             # class forces a pick there, all of itself when it is an
             # independent class covering itself
-            size, clique = self.size, self.clique
+            size, clique = t.size, t.clique
             forced = whole = 0
             m = und
             while m:
@@ -271,7 +354,7 @@ class _Search:
                 u = low.bit_length() - 1
                 opts = (nb[u] | low) & undecided
                 if opts == 0:
-                    return True
+                    return _NEVER
                 r = 1
                 if opts & (opts - 1) == 0:
                     if opts == low and not clique[u]:
@@ -284,11 +367,11 @@ class _Search:
             for u in bits(whole):
                 cost += size[u]
             if cost > b:
-                return True
+                return cost
             # greedy cover bound: a first member of class j covers its
             # closed neighborhood, each further one at most itself
-            unc = self.full & ~cov
-            rep_closed = self.rep_closed
+            unc = t.graph.full_mask & ~cov
+            rep_closed = t.rep_closed
             covs = []
             extra = 0
             m = undecided
@@ -305,8 +388,17 @@ class _Search:
             bound = sum(covs[:b])
             if b > len(covs):
                 bound += min(b - len(covs), extra)
-            if bound < unc.bit_count():
-                return True
+            left = unc.bit_count()
+            if bound < left:
+                # the least budget whose bound reaches the uncovered count
+                reach = 0
+                for picks, gain in enumerate(covs, 1):
+                    reach += gain
+                    if reach >= left:
+                        return picks
+                if reach + extra >= left:
+                    return len(covs) + left - reach
+                return _NEVER
 
         if len(demands) > 1:
             demands.sort(reverse=True)
@@ -315,9 +407,9 @@ class _Search:
                 if not opts & used:
                     used |= opts
                     total += r
-                    if total > b:
-                        return True
-        return False
+            if total > b:
+                return total
+        return 0
 
 
 def _alliance_core(graph: ZdGraph, k: int) -> int:
@@ -363,22 +455,26 @@ def _alliance_lower_bound(graph: ZdGraph, k: int, floor: int) -> int:
     return min(s, n)
 
 
-def _solve_with_gamma(graph: ZdGraph, k: int, floor: int,
+def _solve_with_gamma(tables: _ClassTables, k: int, floor: int,
                       node_budget: Optional[int], deadline: Optional[float]
                       ) -> AllianceSolution:
-    """Rounds s = max(floor, analytic bounds) .. |core| - 1 over the
-    alliance core for one k, which answers s = |core| itself; ``floor`` is a
-    proven lower bound (γ_{k-1} in a spectrum).  A k whose core does not
-    dominate is infeasible, with 0 nodes."""
+    """Rounds over the alliance core for one k, from s = max(floor,
+    analytic bounds) up to |core| - 1, since the core answers s = |core|
+    itself; a failed round s moves s to the least cardinality its
+    frontier leaves open.  ``floor`` is a proven lower bound (γ_{k-1} in a
+    spectrum).  A k whose core does not dominate is infeasible, with 0
+    nodes."""
     start = time.perf_counter()
+    graph = tables.graph
     core = _alliance_core(graph, k)
     if not _dominates(graph, core):
         return AllianceSolution(False, None, None, 0,
                                 time.perf_counter() - start)
-    search = _Search(graph, k, core, node_budget, deadline)
+    search = _Search(tables, k, core, node_budget, deadline)
     size, witness = core.bit_count(), core
-    for s in range(_alliance_lower_bound(graph, k, floor), size):
-        found = search.run(s)
+    s = _alliance_lower_bound(graph, k, floor)
+    while s < size:
+        found, s = search.run(s)
         if found is not None:
             size, witness = s, found
             break
@@ -390,8 +486,8 @@ def _domination(graph: ZdGraph, node_budget: Optional[int],
                 deadline: Optional[float]) -> AllianceSolution:
     """Minimum dominating set: at k = -max_degree every dominating set is a
     global defensive k-alliance."""
-    return _solve_with_gamma(graph, -graph.max_degree, 1, node_budget,
-                             deadline)
+    return _solve_with_gamma(_ClassTables(graph), -graph.max_degree, 1,
+                             node_budget, deadline)
 
 
 def domination_number(graph: ZdGraph, *, node_budget: Optional[int] = None,
@@ -410,7 +506,8 @@ def solve(problem: AllianceProblem, *, node_budget: Optional[int] = None,
     is certain.
     """
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    return _solve_with_gamma(problem.graph, problem.k, 1, node_budget, deadline)
+    return _solve_with_gamma(_ClassTables(problem.graph), problem.k, 1,
+                             node_budget, deadline)
 
 
 def _oracle_pass(graph: ZdGraph, lo: int, hi: int
@@ -522,9 +619,10 @@ def spectrum(graph: ZdGraph, *, node_budget: Optional[int] = None,
     ``time_budget`` covers the whole spectrum.
     """
     deadline = None if time_budget is None else time.monotonic() + time_budget
+    tables = _ClassTables(graph)
     out: dict[int, AllianceSolution] = {}
     floor = 1
     for k in range(-graph.max_degree, graph.max_degree + 1):
-        out[k] = _solve_with_gamma(graph, k, floor, node_budget, deadline)
+        out[k] = _solve_with_gamma(tables, k, floor, node_budget, deadline)
         floor = out[k].size or floor
     return out

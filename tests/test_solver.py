@@ -293,7 +293,8 @@ def test_spectrum_agrees_with_solve(expr):
     assert sorted(sp) == list(range(-g.max_degree, g.max_degree + 1))
     for k, got in sp.items():
         want = solve(AllianceProblem(g, k))
-        assert (got.feasible, got.size) == (want.feasible, want.size), (expr, k)
+        assert (got.feasible, got.size, got.witness) == \
+            (want.feasible, want.size, want.witness), (expr, k)
         assert got.nodes <= want.nodes, (expr, k)
         if got.feasible:
             assert got.witness.bit_count() == got.size
@@ -456,6 +457,67 @@ def test_spectrum_workload_node_total():
     for expr in SPECTRUM_RINGS:
         total += sum(sol.nodes for sol in spectrum(G(expr)).values())
     assert total <= 24_462
+
+
+# -- a failed round skips the cardinalities its frontier rules out --------
+
+# solve nodes at k = -1, 0, 1 on the perfbench ladder, under its node
+# budget, when every failed round s was followed by round s + 1
+STEP_BY_ONE_NODES = {
+    "Z30": (18, 18, 20), "Z2 x Z9": (13, 10, 18), "Z64": (36, 36, 36),
+    "Z2 x GF(4) x Z5": (26, 28, 28), "Z210": (1390, 4865, 4854),
+    "Z1024": (709, 709, 709), "Z4096": (2949, 2946, 2949),
+}
+
+
+def test_ladder_nodes():
+    total = 0
+    for expr, step_by_one in STEP_BY_ONE_NODES.items():
+        g = G(expr)
+        for k, most in zip((-1, 0, 1), step_by_one):
+            nodes = solve(AllianceProblem(g, k), node_budget=20_000).nodes
+            assert nodes <= most, (expr, k)
+            if expr in ("Z1024", "Z4096"):
+                # hundreds of cardinalities below γ_k, all skipped
+                assert nodes <= 20, (expr, k)
+            total += nodes
+    assert total <= 11_100
+
+
+def test_budgets_meet_the_skipping_rounds():
+    # Z4096 at k = 0 reaches s = 1024 in 15 nodes
+    assert solve(AllianceProblem(G("Z4096"), 0), node_budget=100).size == 1024
+    # Z210 at k = 0 still needs 4,751 nodes
+    with pytest.raises(BudgetExceeded):
+        solve(AllianceProblem(G("Z210"), 0), node_budget=1000)
+
+
+@pytest.mark.parametrize("expr",
+                         sorted(set(KNOWN_GRAPH_CORPUS) | set(SPECTRUM_RINGS)))
+def test_spectrum_is_solve_at_every_k(expr):
+    # the two start their rounds at different s, but both skip only
+    # cardinalities that cannot succeed, so the round that succeeds is
+    # the same search
+    g = G(expr)
+    for k, got in spectrum(g).items():
+        want = solve(AllianceProblem(g, k))
+        assert (got.feasible, got.size, got.witness) == \
+            (want.feasible, want.size, want.witness), k
+
+
+@given(RING_EXPRS)
+@settings(max_examples=100, deadline=None)
+def test_spectrum_is_solve_at_every_k_on_ring_exprs(expr):
+    g = _graph_or_reject(expr, 60)
+    try:
+        got = spectrum(g, node_budget=REFERENCE_NODE_BUDGET)
+        want = {k: solve(AllianceProblem(g, k),
+                         node_budget=REFERENCE_NODE_BUDGET) for k in got}
+    except BudgetExceeded:
+        assume(False)
+    for k in got:
+        assert (got[k].feasible, got[k].size, got[k].witness) == \
+            (want[k].feasible, want[k].size, want[k].witness), (expr, k)
 
 
 # -- an independent integer program ----------------------------------------
