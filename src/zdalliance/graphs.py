@@ -115,21 +115,6 @@ class ZdGraph:
 
     # -- neighborhoods ------------------------------------------------------
 
-    def neighbors(self, v: int) -> int:
-        return self.adj[v]
-
-    def closed_neighbors(self, v: int) -> int:
-        return self.closed[v]
-
-    def open_neighborhood(self, mask: int) -> int:
-        out = 0
-        for v in bits(mask):
-            out |= self.adj[v]
-        return out
-
-    def closed_neighborhood(self, mask: int) -> int:
-        return self.open_neighborhood(mask) | mask
-
     def deg_within(self, mask: int, v: int) -> int:
         """Neighbors of v inside the set; deg_within(S,x) + deg_within(~S,x)
         partitions degree(x) for any S."""
@@ -140,7 +125,10 @@ class ZdGraph:
     def is_dominating(self, mask: int) -> bool:
         if mask == 0:
             return False
-        return self.closed_neighborhood(mask) == self.full_mask
+        covered = mask
+        for v in bits(mask):
+            covered |= self.adj[v]
+        return covered == self.full_mask
 
     def is_defensive_alliance(self, mask: int, k: int) -> bool:
         """Every member has at least k more neighbors inside than outside.

@@ -114,9 +114,6 @@ class FiniteRing:
     local_index: Optional[int]
     element_label: Callable[[int], str] = str
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"FiniteRing({self.label!r}, order={self.order})"
 

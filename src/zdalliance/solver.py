@@ -3,19 +3,20 @@
 A member's condition 2·deg_S(x) ≥ deg(x) + k only gets easier as S grows,
 so the union of all defensive k-alliances is itself one: the largest,
 called the *core* here (see Fernau & Rodríguez-Velázquez, "A survey on
-alliances and related parameters in graphs", EJGTA 2, 2014).
-``_alliance_core`` finds it by repeatedly dropping every vertex that fails
-the condition against the vertices left.  A global defensive k-alliance
-exists iff the core dominates the graph, so an infeasible k is decided by
-that one fixpoint, with no search.
+alliances and related parameters in graphs", EJGTA 2, 2014).  A global
+defensive k-alliance exists iff the core dominates the graph, so an
+infeasible k is decided by one fixpoint, with no search.
 
 Twins (``ZdGraph.twin_classes``) can be swapped by a graph automorphism, so
 whether a set is a global defensive k-alliance depends only on the count
-c_i it takes from each twin class i.  The core is a union of classes, and
-the fixpoint and the core's domination test look at one member per class.
-For a member x of class i, deg_S(x) = Σ_{j ∈ nb(i)} c_j - [i is a clique],
-where nb(i) holds the neighbor classes and a clique class (true twins) is
-its own neighbor.
+c_i it takes from each twin class i.  For a member x of class i,
+deg_S(x) = Σ_{j ∈ nb(i)} c_j - [i is a clique], where nb(i) holds the
+neighbor classes and a clique class (true twins) is its own neighbor.
+The core is a union of classes, so ``_Search``, the one per-k setup,
+finds it on class representatives: it drops each class whose
+representative has fewer than need_i = ⌈(deg_i + k)/2⌉ neighbors left
+(the condition above, as deg_S is an integer) until none does, and the
+core dominates when each class outside it has a neighbor inside.
 
 Otherwise ``solve`` runs iterative deepening on the target cardinality s
 over the core's classes only, since every alliance lies inside the core.
@@ -88,15 +89,17 @@ size and a witness.  Node/time budgets, when given, raise
 k = -max_degree every dominating set qualifies, so the domination number
 is that k's answer.
 
-The class tables that do not depend on k (representatives, neighbor
-class masks, sizes, members, the degree order) are built once per
-``solve``, ``spectrum`` or ``domination_number`` call; each k adds only
-its needs, the core's class order and its suffixes.
+The k-independent class tables are built once per ``solve``, ``spectrum``
+or ``domination_number`` call; each k's setup adds its needs, its core
+and, when that dominates, the core's class order and its suffixes.
 
 ``spectrum`` is the one entry point for many values of k.  It uses the
 exact monotonicity of the problem: a global defensive (k+1)-alliance is
 also a global defensive k-alliance, so γ_k ≤ γ_{k+1}.  It walks k upward
-and starts each k's rounds at max(analytic lower bound, γ_{k-1}).
+and starts each k's rounds at max(analytic lower bound, γ_{k-1}).  The
+cores nest too: the (k+1)-core is a defensive k-alliance, so it lies in
+the k-core, and a fixpoint started from any set that holds it never drops
+its members; so each k's fixpoint starts from the classes left at k - 1.
 
 ``oracle_spectrum`` is the independent cross-check: one enumeration of
 all subsets, s = 1..n, each s in ``itertools.combinations`` order, on
@@ -180,22 +183,21 @@ _NEVER = 1 << 62
 class _ClassTables:
     """The k-independent twin-class tables of one graph, built once per
     ``solve``, ``spectrum`` or ``domination_number`` call and shared by
-    its values of k.
+    its values of k; the solver's only view of ``graph.twin_classes``.
 
     The tables are indexed by position in ``graph.twin_classes``.  A
-    class's representative is its lowest member; its neighborhood stands
-    for every member's.  ``by_degree`` is the search order over all
-    classes: degree descending, ties by lowest vertex."""
+    class's representative is its lowest member; its neighborhood and
+    degree stand for every member's.  ``by_degree`` is the search order
+    over all classes: degree descending, ties by lowest vertex."""
 
     def __init__(self, graph: ZdGraph):
         self.graph = graph
         classes = graph.twin_classes
         self.classes = classes
         reps = [(c & -c).bit_length() - 1 for c in classes]
-        self.reps = reps
-        adj = graph.adj
-        self.rep_adj = [adj[v] for v in reps]
+        self.rep_adj = [graph.adj[v] for v in reps]
         self.rep_closed = [graph.closed[v] for v in reps]
+        self.degree = [graph.degree[v] for v in reps]
         self.size = [c.bit_count() for c in classes]
         # neighbour-class masks, with a clique class's own bit set
         self.nb = [sum(1 << j for j, c in enumerate(classes) if a & c)
@@ -203,31 +205,49 @@ class _ClassTables:
         self.clique = [(nb >> i) & 1 for i, nb in enumerate(self.nb)]
         self.all_classes = (1 << len(classes)) - 1
         self.by_degree = sorted(range(len(classes)),
-                                key=lambda i: (-graph.degree[reps[i]], reps[i]))
+                                key=lambda i: (-self.degree[i], reps[i]))
         self.members = [tuple(bits(c)) for c in classes]
 
 
 class _Search:
-    """Depth-first cardinality-s rounds over the twin classes of ``core``
-    for one k; shared across s for one solve.
+    """One k's setup and its cardinality-s rounds, shared across s.
 
-    Only ``need``, the class order and its suffixes depend on k.  The
-    chosen set is also kept as a vertex bitset (the first c members of
-    each decided class), so deg_S of a class and the coverage of an
-    undecided class are each one popcount against the neighborhood of
-    the class's representative."""
+    The setup starts the clock and runs the core fixpoint from the class
+    mask ``alive``, which must hold the core, leaving the core's classes
+    in ``alive`` and its vertices in ``core``; only a core that
+    ``dominates`` gets the class order and its suffixes.  The chosen set
+    is also kept as a vertex bitset (the first c members of each decided
+    class), so deg_S of a class and the coverage of an undecided class
+    are each one popcount against its representative's neighborhood."""
 
-    def __init__(self, tables: _ClassTables, k: int, core: int,
+    def __init__(self, tables: _ClassTables, k: int, alive: int,
                  node_budget: Optional[int], deadline: Optional[float]):
+        self.start = time.perf_counter()
         self.tables = tables
+        self.k = k
         self.node_budget = node_budget
         self.deadline = deadline
         self.nodes = 0
-        degree = tables.graph.degree
+        classes, size, rep_adj = tables.classes, tables.size, tables.rep_adj
         # the neighbors a member needs inside the set: ⌈(deg + k)/2⌉
-        self.need = [_ceil_div(degree[v] + k, 2) for v in tables.reps]
-        classes, size = tables.classes, tables.size
-        order = [i for i in tables.by_degree if classes[i] & core]
+        self.need = need = [_ceil_div(d + k, 2) for d in tables.degree]
+        core = sum(classes[i] for i in bits(alive))
+        while True:
+            drop = 0
+            for i in bits(alive):
+                if (rep_adj[i] & core).bit_count() < need[i]:
+                    drop |= classes[i]
+                    alive ^= 1 << i
+            if not drop:
+                break
+            core &= ~drop
+        self.alive, self.core = alive, core
+        # a class outside the core needs a neighbor inside
+        self.dominates = all(rep_adj[i] & core
+                             for i in bits(tables.all_classes & ~alive))
+        if not self.dominates:
+            return
+        order = [i for i in tables.by_degree if alive >> i & 1]
         self.order = order
         # undecided classes from each position on: as a class mask, as a
         # vertex bitset, and as a member count
@@ -412,35 +432,6 @@ class _Search:
         return 0
 
 
-def _alliance_core(graph: ZdGraph, k: int) -> int:
-    """The largest defensive k-alliance as a vertex bitset, 0 when there is
-    none.  Twins stay or go together, so each pass tests one member of
-    every twin class."""
-    adj = graph.adj
-    deg = graph.degree
-    core = graph.full_mask
-    while True:
-        drop = 0
-        for cls in graph.twin_classes:
-            if cls & core:
-                v = (cls & -cls).bit_length() - 1
-                if 2 * (adj[v] & core).bit_count() < deg[v] + k:
-                    drop |= cls
-        if not drop:
-            return core
-        core &= ~drop
-
-
-def _dominates(graph: ZdGraph, core: int) -> bool:
-    """Whether a union of twin classes dominates: a class outside it needs
-    a neighbor inside, which one member shows for the whole class."""
-    adj = graph.adj
-    for cls in graph.twin_classes:
-        if not cls & core and not adj[(cls & -cls).bit_length() - 1] & core:
-            return False
-    return True
-
-
 def _alliance_lower_bound(graph: ZdGraph, k: int, floor: int) -> int:
     n = graph.vertex_count
     lb = max(1, floor)
@@ -455,39 +446,34 @@ def _alliance_lower_bound(graph: ZdGraph, k: int, floor: int) -> int:
     return min(s, n)
 
 
-def _solve_with_gamma(tables: _ClassTables, k: int, floor: int,
-                      node_budget: Optional[int], deadline: Optional[float]
-                      ) -> AllianceSolution:
-    """Rounds over the alliance core for one k, from s = max(floor,
-    analytic bounds) up to |core| - 1, since the core answers s = |core|
-    itself; a failed round s moves s to the least cardinality its
-    frontier leaves open.  ``floor`` is a proven lower bound (γ_{k-1} in a
-    spectrum).  A k whose core does not dominate is infeasible, with 0
-    nodes."""
-    start = time.perf_counter()
-    graph = tables.graph
-    core = _alliance_core(graph, k)
-    if not _dominates(graph, core):
+def _solve_with_gamma(search: _Search, floor: int) -> AllianceSolution:
+    """The rounds of a set-up k, from s = max(floor, analytic bounds) up
+    to |core| - 1, since the core answers s = |core| itself; a failed
+    round s moves s to the least cardinality its frontier leaves open.
+    ``floor`` is a proven lower bound (γ_{k-1} in a spectrum).  A k whose
+    core does not dominate is infeasible, with 0 nodes."""
+    if not search.dominates:
         return AllianceSolution(False, None, None, 0,
-                                time.perf_counter() - start)
-    search = _Search(tables, k, core, node_budget, deadline)
-    size, witness = core.bit_count(), core
-    s = _alliance_lower_bound(graph, k, floor)
+                                time.perf_counter() - search.start)
+    size, witness = search.core.bit_count(), search.core
+    s = _alliance_lower_bound(search.tables.graph, search.k, floor)
     while s < size:
         found, s = search.run(s)
         if found is not None:
             size, witness = s, found
             break
     return AllianceSolution(True, size, witness, search.nodes,
-                            time.perf_counter() - start)
+                            time.perf_counter() - search.start)
 
 
 def _domination(graph: ZdGraph, node_budget: Optional[int],
                 deadline: Optional[float]) -> AllianceSolution:
     """Minimum dominating set: at k = -max_degree every dominating set is a
     global defensive k-alliance."""
-    return _solve_with_gamma(_ClassTables(graph), -graph.max_degree, 1,
-                             node_budget, deadline)
+    tables = _ClassTables(graph)
+    return _solve_with_gamma(_Search(tables, -graph.max_degree,
+                                     tables.all_classes, node_budget,
+                                     deadline), 1)
 
 
 def domination_number(graph: ZdGraph, *, node_budget: Optional[int] = None,
@@ -506,8 +492,9 @@ def solve(problem: AllianceProblem, *, node_budget: Optional[int] = None,
     is certain.
     """
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    return _solve_with_gamma(_ClassTables(problem.graph), problem.k, 1,
-                             node_budget, deadline)
+    tables = _ClassTables(problem.graph)
+    return _solve_with_gamma(_Search(tables, problem.k, tables.all_classes,
+                                     node_budget, deadline), 1)
 
 
 def _oracle_pass(graph: ZdGraph, lo: int, hi: int
@@ -622,7 +609,11 @@ def spectrum(graph: ZdGraph, *, node_budget: Optional[int] = None,
     tables = _ClassTables(graph)
     out: dict[int, AllianceSolution] = {}
     floor = 1
+    # the (k+1)-core lies inside the k-core: start each fixpoint there
+    alive = tables.all_classes
     for k in range(-graph.max_degree, graph.max_degree + 1):
-        out[k] = _solve_with_gamma(tables, k, floor, node_budget, deadline)
+        search = _Search(tables, k, alive, node_budget, deadline)
+        out[k] = _solve_with_gamma(search, floor)
         floor = out[k].size or floor
+        alive = search.alive
     return out

@@ -51,6 +51,8 @@ MATCH = "MATCH"
 WITHIN_BOUNDS = "WITHIN_BOUNDS"
 MISMATCH = "MISMATCH"
 SKIPPED = "SKIPPED"
+_STATUSES = (MATCH, WITHIN_BOUNDS, MISMATCH, SKIPPED)
+_PREDICTED_KINDS = ("exact", "bounds", "infeasible")  # out_of_range is no row
 
 CSV_COLUMNS = ("family", "params", "ring", "vertices", "k", "predicted_kind",
                "predicted_lo", "predicted_hi", "solved", "status", "nodes",
@@ -528,9 +530,30 @@ def records_to_dicts(records: Sequence[VerificationRecord]) -> list[dict]:
             for rec in sorted(records, key=_record_sort_key)]
 
 
-def _row_number(index: int, row: dict, key: str, kind: type, default=None):
-    value = row[key] if default is None else row.get(key, default)
-    return _number(f"record {index}: key {key!r}", value, kind)
+def _checked(index: int, rec: VerificationRecord) -> VerificationRecord:
+    """rec, or a ValueError naming the first field that holds a value the
+    reports cannot render."""
+    value = vars(rec)
+    for key, ok, expected in (
+            *((key, type(value[key]) is str, "a string")
+              for key in ("family", "params", "ring", "reason")),
+            *((key, type(value[key]) is int, "an integer")
+              for key in ("vertices", "k", "nodes")),
+            *((key, value[key] is None or type(value[key]) is int,
+               "None or an integer")
+              for key in ("predicted_lo", "predicted_hi")),
+            ("millis", type(rec.millis) in (int, float), "a number"),
+            ("predicted_kind", rec.predicted_kind in _PREDICTED_KINDS,
+             "one of " + ", ".join(_PREDICTED_KINDS)),
+            ("solved", rec.solved in (None, INFEASIBLE)
+             or type(rec.solved) is int and rec.solved >= 1,
+             f"None, {INFEASIBLE!r} or an integer >= 1"),
+            ("status", rec.status in _STATUSES,
+             "one of " + ", ".join(_STATUSES))):
+        if not ok:
+            raise ValueError(f"record {index}: key {key!r}: expected "
+                             f"{expected}, got {value[key]!r}")
+    return rec
 
 
 def records_from_dicts(rows: Sequence[dict]) -> list[VerificationRecord]:
@@ -540,19 +563,19 @@ def records_from_dicts(rows: Sequence[dict]) -> list[VerificationRecord]:
         if not isinstance(row, dict):
             raise ValueError(f"record {index}: expected an object, "
                              f"got {type(row).__name__}")
-        number = partial(_row_number, index, row)
         try:
-            records.append(VerificationRecord(
+            rec = VerificationRecord(
                 family=row["family"], params=row["params"], ring=row["ring"],
-                vertices=number("vertices", int), k=number("k", int),
+                vertices=row["vertices"], k=row["k"],
                 predicted_kind=row["predicted_kind"],
                 predicted_lo=row.get("predicted_lo"),
                 predicted_hi=row.get("predicted_hi"),
                 solved=row.get("solved"), status=row["status"],
-                reason=row.get("reason", ""), nodes=number("nodes", int, 0),
-                millis=number("millis", float, 0.0)))
+                reason=row.get("reason", ""), nodes=row.get("nodes", 0),
+                millis=row.get("millis", 0.0))
         except KeyError as exc:
             raise ValueError(f"record {index}: missing key {exc}") from None
+        records.append(_checked(index, rec))
     return records
 
 
@@ -570,9 +593,7 @@ def _predicted_repr(rec: VerificationRecord) -> str:
         return "" if rec.predicted_lo is None else str(rec.predicted_lo)
     if rec.predicted_kind == "bounds":
         return f"[{rec.predicted_lo}, {rec.predicted_hi}]"
-    if rec.predicted_kind == "infeasible":
-        return INFEASIBLE
-    return "-"
+    return INFEASIBLE
 
 
 def _emit_markdown(records: Sequence[VerificationRecord]) -> str:

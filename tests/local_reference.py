@@ -45,8 +45,8 @@ def _additive_span(ring: FiniteRing, seed: Iterable[int]
 def span_local_structure(ring: FiniteRing) -> Optional[LocalStructure]:
     """Maximal ideal and nilpotency index when the ring is local, else None."""
     m = zero_divisors(ring)
-    one, sub, is_unit = ring.one, ring.sub, ring.is_unit
-    if not all(is_unit(sub(one, a)) for a in m):
+    one, add, neg, is_unit = ring.one, ring.add, ring.neg, ring.is_unit
+    if not all(is_unit(add(one, neg(a))) for a in m):
         return None
     zero_only = frozenset({0})
     if m == zero_only:

@@ -404,6 +404,19 @@ def test_report_row_missing_key_exit_1(capsys, tmp_path):
     ("nodes", None,
      "error: record 1: key 'nodes': expected an integer, got None"),
     ("millis", [1], "error: record 1: key 'millis': expected a number, got [1]"),
+    ("solved", 0, "error: record 1: key 'solved': expected None, "
+     "'INFEASIBLE' or an integer >= 1, got 0"),
+    ("solved", "x", "error: record 1: key 'solved': expected None, "
+     "'INFEASIBLE' or an integer >= 1, got 'x'"),
+    ("predicted_lo", "x", "error: record 1: key 'predicted_lo': "
+     "expected None or an integer, got 'x'"),
+    ("predicted_hi", [1], "error: record 1: key 'predicted_hi': "
+     "expected None or an integer, got [1]"),
+    ("status", "BOGUS", "error: record 1: key 'status': expected one of "
+     "MATCH, WITHIN_BOUNDS, MISMATCH, SKIPPED, got 'BOGUS'"),
+    ("predicted_kind", "guess", "error: record 1: key 'predicted_kind': "
+     "expected one of exact, bounds, infeasible, got 'guess'"),
+    ("ring", 5, "error: record 1: key 'ring': expected a string, got 5"),
 ])
 def test_report_row_bad_value_exit_1(capsys, tmp_path, key, value, message):
     row = {"family": "tables", "params": "", "ring": "Z8", "vertices": 3,

@@ -22,8 +22,8 @@ def test_z8_is_a_path():
     assert g.element_ids == (2, 4, 6)
     assert g.degree == (1, 2, 1)
     assert g.min_degree == 1 and g.max_degree == 2
-    assert g.neighbors(1) == 0b101
-    assert g.closed_neighbors(0) == 0b011
+    assert g.adj[1] == 0b101
+    assert g.closed[0] == 0b011
 
 
 def test_z6_is_a_path():

@@ -6,6 +6,9 @@ attribute, and no ``from ... import`` may name one; a module's own
 private functions are called by bare name.  The test references obey the
 same rule, so they cannot borrow the engine code they check.  Only
 ``rings`` reads the environment: it alone decides the ring order cap.
+In ``solver`` only ``_ClassTables`` reads ``ZdGraph.twin_classes``, so the
+class view is built in one place and the oracle stays independent of it,
+as does the vertex-level reference.
 """
 
 import ast
@@ -57,6 +60,15 @@ def _environment_reads(path: Path) -> list[str]:
     return found
 
 
+def _twin_class_readers(path: Path) -> list[str]:
+    """The top-level definition around each read of ``.twin_classes``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [getattr(top, "name", f"line {top.lineno}")
+            for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.Attribute)
+            and node.attr == "twin_classes"]
+
+
 def test_package_sources_found():
     assert {p.name for p in SOURCES} >= {"rings.py", "graphs.py", "solver.py"}
     assert {p.name for p in REFERENCES} >= {
@@ -78,3 +90,8 @@ def test_reference_reads_no_private_names(path):
 def test_only_rings_reads_the_environment(path):
     reads = _environment_reads(path)
     assert bool(reads) == (path.name == "rings.py"), reads
+
+
+def test_only_the_class_tables_read_twin_classes():
+    assert set(_twin_class_readers(PACKAGE / "solver.py")) == {"_ClassTables"}
+    assert _twin_class_readers(TESTS / "vertex_search.py") == []

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from zdalliance import solver
 from zdalliance import (ORACLE_MAX_VERTICES, AllianceProblem, BudgetExceeded,
                         CapacityError, NoGraphError, bits, build_graph,
                         build_ring, domination_number, oracle_solve,
@@ -503,6 +504,25 @@ def test_spectrum_is_solve_at_every_k(expr):
         want = solve(AllianceProblem(g, k))
         assert (got.feasible, got.size, got.witness) == \
             (want.feasible, want.size, want.witness), k
+
+
+@pytest.mark.parametrize("expr",
+                         sorted(set(KNOWN_GRAPH_CORPUS) | set(SPECTRUM_RINGS)))
+def test_core_fixpoint_starts_from_the_last_core(expr):
+    # a defensive (k+1)-alliance is a defensive k-alliance, so spectrum
+    # may start each k's fixpoint from the classes the last one kept
+    g = G(expr)
+    tables = solver._ClassTables(g)
+
+    def core(k, alive):
+        return solver._Search(tables, k, alive, None, None).alive
+
+    left = core(-g.max_degree, tables.all_classes)
+    for k in range(-g.max_degree, g.max_degree):
+        shrunk = core(k + 1, left)
+        assert shrunk == core(k + 1, tables.all_classes), k
+        assert shrunk & ~left == 0, k
+        left = shrunk
 
 
 @given(RING_EXPRS)
