@@ -20,7 +20,7 @@ from .graphs import NoGraphError, build_graph
 from .rings import CapacityError, nilradical, zero_divisors
 from .solver import (AllianceProblem, BudgetExceeded, oracle_solve,
                      oracle_spectrum, solve, spectrum)
-from .verify import (MISMATCH, SuiteConfig, SUITES, emit_report, non_negative,
+from .verify import (MISMATCH, SuiteConfig, SUITES, emit_report,
                      records_from_dicts, records_to_dicts, run_suite,
                      summarize)
 
@@ -28,6 +28,22 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 EXIT_UNKNOWN = 3
+
+
+def _budget(flag: str, value, kind: type):
+    """kind(value) when it is at least 0, or a ValueError that names the
+    flag."""
+    what = "integer" if kind is int else "number"
+    try:
+        number = kind(value)
+    except (TypeError, ValueError):
+        article = "an" if kind is int else "a"
+        raise ValueError(f"{flag}: expected {article} {what}, "
+                         f"got {value!r}") from None
+    if not number >= 0:
+        raise ValueError(f"{flag}: expected a non-negative {what}, "
+                         f"got {number!r}")
+    return number
 
 
 def _print_expr_error(err: ExprError) -> None:
@@ -299,7 +315,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                            ("time_budget", float)):
             value = getattr(args, name, None)
             if value is not None:  # a budget, parsed here to name its flag
-                setattr(args, name, non_negative(
+                setattr(args, name, _budget(
                     "--" + name.replace("_", "-"), value, kind))
         return args.func(args)
     except ExprError as err:

@@ -67,7 +67,7 @@ class ZdGraph:
 
     __slots__ = ("ring_label", "vertex_count", "element_ids", "labels",
                  "adj", "closed", "degree", "max_degree", "min_degree",
-                 "full_mask", "twin_classes", "_index_of")
+                 "full_mask", "twin_classes")
 
     def __init__(self, ring_label: str, element_ids: tuple[int, ...],
                  labels: tuple[str, ...], adj: tuple[int, ...]):
@@ -83,42 +83,23 @@ class ZdGraph:
         self.min_degree = min(self.degree)
         self.full_mask = (1 << n) - 1
         self.twin_classes = _twin_classes(adj, self.closed)
-        self._index_of = {e: i for i, e in enumerate(element_ids)}
 
     # -- vertex set plumbing ------------------------------------------------
-
-    def mask_of(self, vertices: Iterable[int]) -> int:
-        m = 0
-        for v in vertices:
-            if not 0 <= v < self.vertex_count:
-                raise ValueError(f"vertex index {v} out of range")
-            m |= 1 << v
-        return m
 
     def mask_of_elements(self, element_ids: Iterable[int]) -> int:
         m = 0
         for e in element_ids:
             try:
-                m |= 1 << self._index_of[e]
-            except KeyError:
+                m |= 1 << self.element_ids.index(e)
+            except ValueError:
                 raise ValueError(f"ring element {e} is not a vertex") from None
         return m
-
-    def vertices_of(self, mask: int) -> tuple[int, ...]:
-        return tuple(bits(mask))
 
     def elements_of(self, mask: int) -> tuple[int, ...]:
         return tuple(self.element_ids[v] for v in bits(mask))
 
     def labels_of(self, mask: int) -> tuple[str, ...]:
         return tuple(self.labels[v] for v in bits(mask))
-
-    # -- neighborhoods ------------------------------------------------------
-
-    def deg_within(self, mask: int, v: int) -> int:
-        """Neighbors of v inside the set; deg_within(S,x) + deg_within(~S,x)
-        partitions degree(x) for any S."""
-        return (self.adj[v] & mask).bit_count()
 
     # -- alliance predicates --------------------------------------------------
 

@@ -45,7 +45,10 @@ touch the interpreter's recursion limit.  A partial set is pruned when
   sets are pairwise disjoint need separate picks.
 
 A node is one partial count vector taken off the stack; ``nodes`` and the
-node budget count them.
+node budget count them.  Every node meets these rules, leaves too: with
+no picks left a node passes them exactly when it is a global defensive
+k-alliance, since any r_x > 0 exceeds the budget and an undominated class
+leaves a vertex that the forced picks or the greedy bound cannot cover.
 
 A failed round also says which later rounds would fail, as in the
 threshold rule of IDA* (Korf, "Depth-first iterative-deepening: an
@@ -69,16 +72,15 @@ greedy cover bound short               the least budget whose greedy sum
 disjoint demands total > b             the full total of the scan
 expanded with n_i > b                  b + 1 (children c > b were not
                                        made)
-failing leaf (b = 0)                   1
 =====================================  ==================================
 
 The round at s returns T, the least c + threshold over its frontier, and
 the next round runs at T instead of at s + 1.  No cardinality s' with
 s < s' < T can succeed: follow the counts of a set of size s' down the
-round-s tree.  The path either stops at a pruned node of count c, where
-s - c < s' - c < T - c ≤ its threshold, so the same rule prunes the node
-at budget s' - c and rules the set out; or it reaches an expanded class
-of which it takes more than b members, or a leaf, and both put T at
+round-s tree.  The path either stops at a pruned node of count c, leaves
+included, where s - c < s' - c < T - c ≤ its threshold, so the same rule
+prunes the node at budget s' - c and rules the set out; or it reaches an
+expanded class of which it takes more than b members, which puts T at
 s + 1, leaving no s' between.  So the first round that succeeds is at
 γ_k, as with one round per s, and it is the same search, so its witness
 is unchanged; only ``nodes`` falls.  A round that fails is
@@ -183,7 +185,8 @@ _NEVER = 1 << 62
 class _ClassTables:
     """The k-independent twin-class tables of one graph, built once per
     ``solve``, ``spectrum`` or ``domination_number`` call and shared by
-    its values of k; the solver's only view of ``graph.twin_classes``.
+    its values of k; the class search's only view of the graph, and the
+    solver's only reader of ``graph.twin_classes``.
 
     The tables are indexed by position in ``graph.twin_classes``.  A
     class's representative is its lowest member; its neighborhood and
@@ -191,7 +194,6 @@ class _ClassTables:
     over all classes: degree descending, ties by lowest vertex."""
 
     def __init__(self, graph: ZdGraph):
-        self.graph = graph
         classes = graph.twin_classes
         self.classes = classes
         reps = [(c & -c).bit_length() - 1 for c in classes]
@@ -269,19 +271,13 @@ class _Search:
                 and time.monotonic() > self.deadline:
             raise BudgetExceeded("time budget exhausted")
 
-    def _final_ok(self, s_mask: int, chosen: int) -> bool:
-        rep_adj, need = self.tables.rep_adj, self.need
-        for x in bits(chosen):
-            if (rep_adj[x] & s_mask).bit_count() < need[x]:
-                return False
-        return True
-
     def run(self, s: int) -> tuple[Optional[int], int]:
         """Depth-first search for a cardinality-s set on an explicit stack of
-        (position, chosen vertices, covered vertices, chosen classes, covered
-        classes, count) entries; the children of a class take c = min(n, b),
-        ..., 0 of its n members and are pushed smallest first, so the
-        largest count is explored first.
+        (position, chosen vertices, chosen classes, covered classes, count)
+        entries; every popped node meets ``_pruned``, and one that passes
+        with no picks left is the witness.  The children of a class take
+        c = min(n, b), ..., 0 of its n members and are pushed smallest
+        first, so the largest count is explored first.
 
         Returns (witness, s) when a set is found, else (None, s') where s'
         is the least cardinality above s that the round's frontier leaves
@@ -291,34 +287,30 @@ class _Search:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceeded("time budget exhausted")
         t = self.tables
-        all_classes, order, size = t.all_classes, self.order, t.size
-        classes, members, rep_adj, nb = t.classes, t.members, t.rep_adj, t.nb
+        order, size = self.order, t.size
+        classes, members, nb = t.classes, t.members, t.nb
         nxt = _NEVER
-        stack = [(0, 0, 0, 0, 0, 0)]
+        stack = [(0, 0, 0, 0, 0)]
         while stack:
-            pos, s_mask, cov, chosen, ccov, count = stack.pop()
+            pos, s_mask, chosen, ccov, count = stack.pop()
             self._tick()
             b = s - count
-            if b == 0:
-                if ccov == all_classes and self._final_ok(s_mask, chosen):
-                    return s_mask, s
-                nxt = s + 1
-                continue
-            lift = self._pruned(pos, s_mask, cov, chosen, ccov, b)
+            lift = self._pruned(pos, s_mask, chosen, ccov, b)
             if lift:
                 if count + lift < nxt:
                     nxt = count + lift
                 continue
+            if b == 0:
+                return s_mask, s
             i = order[pos]
             n = size[i]
             if n > b:
                 # the children c = b + 1 .. n first appear at s + 1
                 nxt = s + 1
-            stack.append((pos + 1, s_mask, cov, chosen, ccov, count))
+            stack.append((pos + 1, s_mask, chosen, ccov, count))
             cls_members = members[i]
             cls = classes[i]
             bit = 1 << i
-            child_cov = cov | rep_adj[i]
             child_ccov = ccov | nb[i]
             for c in range(1, (n if n < b else b) + 1):
                 if c == n:
@@ -326,17 +318,18 @@ class _Search:
                     child_ccov |= bit
                 else:
                     take = cls & ((2 << cls_members[c - 1]) - 1)
-                stack.append((pos + 1, s_mask | take, child_cov | take,
-                              chosen | bit, child_ccov, count + c))
+                stack.append((pos + 1, s_mask | take, chosen | bit,
+                              child_ccov, count + c))
         return None, nxt
 
-    def _pruned(self, pos: int, s_mask: int, cov: int, chosen: int,
-                ccov: int, b: int) -> int:
+    def _pruned(self, pos: int, s_mask: int, chosen: int, ccov: int,
+                b: int) -> int:
         """0 when some completion with b more picks from the classes at
-        position pos on may be a solution.  Otherwise the threshold of the
-        rule that rules them out: that rule prunes the node at every budget
-        from b up to, not including, the threshold, and at every budget
-        from b on when it returns ``_NEVER``."""
+        position pos on may be a solution; at b = 0, exactly when the
+        chosen set is a global defensive k-alliance.  Otherwise the
+        threshold of the rule that rules them out: that rule prunes the
+        node at every budget from b up to, not including, the threshold,
+        and at every budget from b on when it returns ``_NEVER``."""
         if self.rem_size[pos] < b:
             return _NEVER
         t = self.tables
@@ -365,13 +358,14 @@ class _Search:
             # undecided classes; a class whose only possible cover is one
             # class forces a pick there, all of itself when it is an
             # independent class covering itself
-            size, clique = t.size, t.clique
-            forced = whole = 0
+            classes, size, clique = t.classes, t.size, t.clique
+            forced = whole = unc = 0
             m = und
             while m:
                 low = m & -m
                 m ^= low
                 u = low.bit_length() - 1
+                unc |= classes[u]
                 opts = (nb[u] | low) & undecided
                 if opts == 0:
                     return _NEVER
@@ -389,8 +383,10 @@ class _Search:
             if cost > b:
                 return cost
             # greedy cover bound: a first member of class j covers its
-            # closed neighborhood, each further one at most itself
-            unc = t.graph.full_mask & ~cov
+            # closed neighborhood, each further one at most itself; twins
+            # are covered all or none, so the uncovered vertices are the
+            # unchosen members of the undominated classes
+            unc &= ~s_mask
             rep_closed = t.rep_closed
             covs = []
             extra = 0
@@ -432,11 +428,11 @@ class _Search:
         return 0
 
 
-def _alliance_lower_bound(graph: ZdGraph, k: int, floor: int) -> int:
-    n = graph.vertex_count
+def _alliance_lower_bound(tables: _ClassTables, k: int, floor: int) -> int:
+    n = sum(tables.size)
     lb = max(1, floor)
     # any member x needs deg_S(x) >= ceil((deg(x)+k)/2) neighbors inside
-    member = 1 + _ceil_div(graph.min_degree + k, 2)
+    member = 1 + _ceil_div(min(tables.degree) + k, 2)
     if member > lb:
         lb = member
     # domination + per-member deficit give n <= s*s - k*s for feasible s
@@ -456,7 +452,7 @@ def _solve_with_gamma(search: _Search, floor: int) -> AllianceSolution:
         return AllianceSolution(False, None, None, 0,
                                 time.perf_counter() - search.start)
     size, witness = search.core.bit_count(), search.core
-    s = _alliance_lower_bound(search.tables.graph, search.k, floor)
+    s = _alliance_lower_bound(search.tables, search.k, floor)
     while s < size:
         found, s = search.run(s)
         if found is not None:
@@ -466,21 +462,15 @@ def _solve_with_gamma(search: _Search, floor: int) -> AllianceSolution:
                             time.perf_counter() - search.start)
 
 
-def _domination(graph: ZdGraph, node_budget: Optional[int],
-                deadline: Optional[float]) -> AllianceSolution:
+def _domination(graph: ZdGraph) -> AllianceSolution:
     """Minimum dominating set: at k = -max_degree every dominating set is a
     global defensive k-alliance."""
-    tables = _ClassTables(graph)
-    return _solve_with_gamma(_Search(tables, -graph.max_degree,
-                                     tables.all_classes, node_budget,
-                                     deadline), 1)
+    return solve(AllianceProblem(graph, -graph.max_degree))
 
 
-def domination_number(graph: ZdGraph, *, node_budget: Optional[int] = None,
-                      time_budget: Optional[float] = None) -> tuple[int, int]:
+def domination_number(graph: ZdGraph) -> tuple[int, int]:
     """Exact domination number and one minimum dominating set (bitset)."""
-    deadline = None if time_budget is None else time.monotonic() + time_budget
-    sol = _domination(graph, node_budget, deadline)
+    sol = _domination(graph)
     return sol.size, sol.witness
 
 

@@ -40,7 +40,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from . import formulas
 from .expressions import ExprError, build_ring, parse_ring_expr
-from .graphs import ZdGraph, build_graph
+from .graphs import ZdGraph, bits, build_graph
 from .rings import (CapacityError, FiniteRing, is_prime, local_structure,
                     prime_power, zero_divisors)
 from .solver import AllianceSolution, BudgetExceeded, oracle_spectrum, spectrum
@@ -97,27 +97,6 @@ class SuiteConfig:
     grid: Optional[str] = None
     node_budget: Optional[int] = 50_000_000
     time_budget: Optional[float] = 300.0
-
-
-def _number(source: str, value, kind: type):
-    """kind(value), or a ValueError that names the value's source."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        what = "an integer" if kind is int else "a number"
-        raise ValueError(f"{source}: expected {what}, got {value!r}") from None
-
-
-def non_negative(source: str, value, kind: type):
-    """kind(value) when it is at least 0, or a ValueError that names the
-    value's source.  Budgets pass through here; a record's k may be negative
-    and does not."""
-    number = _number(source, value, kind)
-    if not number >= 0:
-        what = "integer" if kind is int else "number"
-        raise ValueError(f"{source}: expected a non-negative {what}, "
-                         f"got {number!r}")
-    return number
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +247,7 @@ def _count_row(ring: FiniteRing, graph: ZdGraph, zcount: int, params: str,
 def _common_outside(graph: ZdGraph, mask: int) -> int:
     """λ: the vertices outside ``mask`` adjacent to every vertex in it."""
     inter = graph.full_mask
-    for v in graph.vertices_of(mask):
+    for v in bits(mask):
         inter &= graph.adj[v]
     return (inter & ~mask).bit_count()
 

@@ -8,7 +8,9 @@ same rule, so they cannot borrow the engine code they check.  Only
 ``rings`` reads the environment: it alone decides the ring order cap.
 In ``solver`` only ``_ClassTables`` reads ``ZdGraph.twin_classes``, so the
 class view is built in one place and the oracle stays independent of it,
-as does the vertex-level reference.
+as does the vertex-level reference.  The class search sees the graph only
+through those tables: ``_Search``, ``_solve_with_gamma`` and
+``_alliance_lower_bound`` read no graph attribute.
 """
 
 import ast
@@ -22,6 +24,9 @@ TESTS = Path(__file__).resolve().parent
 ENVIRONMENT_NAMES = ("environ", "getenv")
 REFERENCES = sorted([TESTS / "vertex_search.py", TESTS / "ring_axioms.py",
                      *TESTS.glob("*_reference.py")])
+CLASS_SEARCH = ("_Search", "_solve_with_gamma", "_alliance_lower_bound")
+GRAPH_ATTRIBUTES = ("graph", "adj", "closed", "full_mask", "vertex_count",
+                    "min_degree", "max_degree", "twin_classes")
 
 
 def _is_private(name: str) -> bool:
@@ -69,6 +74,16 @@ def _twin_class_readers(path: Path) -> list[str]:
             and node.attr == "twin_classes"]
 
 
+def _graph_reads(path: Path, names: tuple[str, ...]) -> dict[str, list]:
+    """The graph attributes read inside each named top-level definition."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return {top.name: [f"{node.lineno}: {ast.unparse(node)}"
+                       for node in ast.walk(top)
+                       if isinstance(node, ast.Attribute)
+                       and node.attr in GRAPH_ATTRIBUTES]
+            for top in tree.body if getattr(top, "name", None) in names}
+
+
 def test_package_sources_found():
     assert {p.name for p in SOURCES} >= {"rings.py", "graphs.py", "solver.py"}
     assert {p.name for p in REFERENCES} >= {
@@ -95,3 +110,8 @@ def test_only_rings_reads_the_environment(path):
 def test_only_the_class_tables_read_twin_classes():
     assert set(_twin_class_readers(PACKAGE / "solver.py")) == {"_ClassTables"}
     assert _twin_class_readers(TESTS / "vertex_search.py") == []
+
+
+def test_class_search_sees_the_graph_only_through_its_tables():
+    reads = _graph_reads(PACKAGE / "solver.py", CLASS_SEARCH)
+    assert reads == {name: [] for name in CLASS_SEARCH}
