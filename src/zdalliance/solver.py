@@ -108,30 +108,42 @@ all subsets, s = 1..n, each s in ``itertools.combinations`` order, on
 graphs of up to ``ORACLE_MAX_VERTICES`` = 22 vertices.  A subset S is a
 global defensive k-alliance exactly when it dominates and its slack, min
 over x ∈ S of 2·deg_S(x) - deg(x), is at least k.  The pass keeps
-``reached``, the highest k answered so far; a dominating subset whose
-slack beats it answers every k in (reached, slack] with its size, itself
-and the number of subsets examined so far.  The pass stops once
+``reached``, the highest k answered so far; the first dominating subset
+whose slack beats it answers every k in (reached, slack] with its size,
+itself and its position in that order (1-based: all subsets of fewer
+vertices, then its rank among those of its size), which is the number
+of subsets a plain enumeration examines up to it.  The pass stops once
 ``reached`` hits its target; a k still unanswered after s = n is
-infeasible, with all 2^n - 1 subsets examined.  ``oracle_solve`` is the
+infeasible, with all 2^n - 1 subsets counted.  ``oracle_solve`` is the
 same pass aimed at one k, so each k gets the answer a per-k enumeration
 would give.
 
-The walk runs depth first over prefixes P, with r picks left and only
-vertices from the first free one, i, onward still to add.  It skips the
-whole subtree of P, counting its C(n - i, r) subsets as examined, when no
-subset in it can beat ``reached``:
+The walk runs depth first over prefixes P, with r picks left from a set
+of candidates, all above P's last vertex.  Only a subset whose slack
+beats ``reached`` can answer a k, so no member x of it has
+2·deg_S(x) - deg(x) ≤ ``reached``.  deg_S(x) grows with S, so a node
+keeps only what such a subset can use, cheapest check first:
 
-* no completion dominates: P's cover joined with the closed
-  neighbourhoods of vertices i..n-1 misses a vertex, or
-* some member x of P keeps its slack at most ``reached``: deg_S(x) grows
-  with S, by at most min(r, |adj(x) ∩ {i..n-1}|), so
-  2·(deg_P(x) + that) - deg(x) ≤ reached rules out every completion.
+* every member x of P must still be able to beat ``reached``:
+  deg_S(x) gains at most min(r, |adj(x) ∩ candidates|) over deg_P(x);
+* a candidate v is *viable* only when 2·(deg_P(v) + min(r - 1,
+  |adj(v) ∩ candidates|)) - deg(v) > ``reached``, since a set holding v
+  adds r - 1 more candidates; a subset that beats ``reached`` holds
+  viable vertices only;
+* at least r vertices must be viable, and P's cover joined with their
+  closed neighbourhoods must be the whole graph.
 
-A skipped subset would answer no k, so every answer, witness and ``nodes``
-count is what visiting each subset in turn gives; the plain enumeration
-lives on as the test reference ``tests/oracle_reference.py``.  The pass
-uses nothing but the predicate and vertex counts: no core, twin classes,
-bounds or solver code.
+A node that fails a check has no subset that beats ``reached``, and is
+dropped.  A child v takes the viable vertices above v as its candidates,
+and only when r - 1 of them exist, so the member rule counts each gain
+against vertices its parent found viable.  At r = 1 the leaves P ∪ {v}
+are tested in place, where v's viability is its own slack term.  The
+children pop in ascending order, so the subsets that are reached come in
+combinations order, and a vertex or subtree dropped holds no answer; so
+every answer, witness and ``nodes`` count is what visiting each subset
+in turn gives.  The plain enumeration lives on as the test reference
+``tests/oracle_reference.py``.  The pass uses nothing but the predicate
+and vertex counts: no core, twin classes, bounds or solver code.
 """
 
 from __future__ import annotations
@@ -162,7 +174,8 @@ class AllianceSolution:
     """Verdict for one (graph, k) instance.
 
     ``witness`` is a vertex bitset (None when infeasible); ``nodes`` counts
-    search-tree nodes (subsets examined, for the oracle).
+    search-tree nodes (for the oracle, the subsets a plain enumeration
+    examines up to the witness, or all of them).
     """
     feasible: bool
     size: Optional[int]
@@ -487,12 +500,28 @@ def solve(problem: AllianceProblem, *, node_budget: Optional[int] = None,
                                      node_budget, deadline), 1)
 
 
+def _rank(m: int, n: int) -> int:
+    """The 0-based position of subset m among the subsets of its size of
+    n vertices, in ``itertools.combinations`` order."""
+    rank = 0
+    nxt, left = 0, m.bit_count()
+    for v in bits(m):
+        left -= 1
+        # the subsets that first differ from m at v take some u in
+        # [nxt, v) there and any left vertices above u: by the
+        # hockey-stick identity, Σ C(n - 1 - u, left) over those u
+        rank += comb(n - nxt, left + 1) - comb(n - v, left + 1)
+        nxt = v + 1
+    return rank
+
+
 def _oracle_pass(graph: ZdGraph, lo: int, hi: int
                  ) -> dict[int, AllianceSolution]:
     """One walk over all subsets in increasing popcount order that answers
-    every k in [lo, hi], skipping subtrees that answer none of them; see
-    the module docstring.  Graphs above ``ORACLE_MAX_VERTICES`` raise
-    :class:`CapacityError` before anything is enumerated."""
+    every k in [lo, hi], dropping vertices and subtrees that answer none
+    of them; see the module docstring.  Graphs above
+    ``ORACLE_MAX_VERTICES`` raise :class:`CapacityError` before anything
+    is enumerated."""
     n = graph.vertex_count
     if n > ORACLE_MAX_VERTICES:
         raise CapacityError(f"oracle is capped at {ORACLE_MAX_VERTICES} "
@@ -501,59 +530,88 @@ def _oracle_pass(graph: ZdGraph, lo: int, hi: int
     deg = graph.degree
     closed = graph.closed
     full = graph.full_mask
-    # reach[i]: the union of the closed neighbourhoods of vertices i..n-1
-    reach = [0] * (n + 1)
-    for v in range(n - 1, -1, -1):
-        reach[v] = reach[v + 1] | closed[v]
     start = time.perf_counter()
     out: dict[int, AllianceSolution] = {}
     reached = lo - 1
-    examined = 0
+    below = 0  # the subsets of fewer than s vertices
     for s in range(1, n + 1):
-        # prefixes in combinations order: (first free vertex, set, cover, size)
-        stack = [(0, 0, 0, 0)]
+        # prefixes in combinations order: (candidates, set, cover, size)
+        stack = [(full, 0, 0, 0)]
         while stack:
-            first, m, cov, size = stack.pop()
+            cand, m, cov, size = stack.pop()
             r = s - size
-            if r:
-                # skip the subtree, counting its subsets, unless some
-                # completion dominates and every member x can still raise
-                # its slack above reached: deg_S(x) grows by at most
-                # min(r, |adj(x) ∩ free|), free being vertices first..n-1
-                if cov | reach[first] == full:
-                    free = full >> first << first
-                    for x in bits(m):
-                        ax = adj[x]
-                        gain = (ax & free).bit_count()
-                        if 2 * ((ax & m).bit_count() + (gain if gain < r else r)
-                                ) - deg[x] <= reached:
-                            break
-                    else:
-                        for v in range(n - r, first - 1, -1):
-                            stack.append((v + 1, m | (1 << v), cov | closed[v],
-                                          size + 1))
+            # every member x must still be able to lift its slack above
+            # reached: deg_S(x) gains at most min(r, |adj(x) ∩ cand|)
+            c = m
+            while c:
+                low = c & -c
+                x = low.bit_length() - 1
+                ax = adj[x]
+                gain = (ax & cand).bit_count()
+                if 2 * ((ax & m).bit_count() + (gain if gain < r else r)
+                        ) - deg[x] <= reached:
+                    break
+                c ^= low
+            if c:
+                continue
+            if r == 1:
+                # the last pick: test the leaves m | v in place; v's own
+                # slack term is the viability test at r = 1
+                c = cand
+                while c:
+                    low = c & -c
+                    c ^= low
+                    v = low.bit_length() - 1
+                    slack = 2 * (adj[v] & m).bit_count() - deg[v]
+                    if slack <= reached or cov | closed[v] != full:
                         continue
-                examined += comb(n - first, r)
+                    leaf = m | low
+                    if slack > hi:
+                        slack = hi  # no k above hi is asked
+                    for x in bits(m):
+                        d = 2 * (adj[x] & leaf).bit_count() - deg[x]
+                        if d < slack:
+                            slack = d
+                            if slack <= reached:
+                                break
+                    if slack > reached:
+                        sol = AllianceSolution(True, s, leaf,
+                                               below + _rank(leaf, n) + 1,
+                                               time.perf_counter() - start)
+                        for k in range(reached + 1, slack + 1):
+                            out[k] = sol
+                        reached = slack
+                        if reached >= hi:
+                            return out
                 continue
-            examined += 1
-            if cov != full:
+            # so must each vertex still to add, which gains at most
+            # min(r - 1, |adj(v) ∩ cand|); the others are not viable
+            viable = reach = 0
+            vs = []
+            c = cand
+            while c:
+                low = c & -c
+                c ^= low
+                v = low.bit_length() - 1
+                av = adj[v]
+                gain = (av & cand).bit_count()
+                if gain >= r:
+                    gain = r - 1
+                if 2 * ((av & m).bit_count() + gain) - deg[v] > reached:
+                    viable |= low
+                    reach |= closed[v]
+                    vs.append(v)
+            # r picks must come from the viable vertices and dominate
+            if len(vs) < r or cov | reach != full:
                 continue
-            slack = hi  # no k above hi is asked
-            for v in bits(m):
-                d = 2 * (adj[v] & m).bit_count() - deg[v]
-                if d < slack:
-                    slack = d
-                    if slack <= reached:
-                        break
-            if slack > reached:
-                sol = AllianceSolution(True, s, m, examined,
-                                       time.perf_counter() - start)
-                for k in range(reached + 1, slack + 1):
-                    out[k] = sol
-                reached = slack
-                if reached >= hi:
-                    return out
-    sol = AllianceSolution(False, None, None, examined,
+            # a child v keeps the viable vertices above it; pushed from
+            # the last, so the first pops first
+            for i in range(len(vs) - r, -1, -1):
+                v = vs[i]
+                stack.append((viable >> v + 1 << v + 1, m | 1 << v,
+                              cov | closed[v], size + 1))
+        below += comb(n, s)
+    sol = AllianceSolution(False, None, None, (1 << n) - 1,
                            time.perf_counter() - start)
     for k in range(reached + 1, hi + 1):
         out[k] = sol
@@ -574,11 +632,12 @@ def oracle_spectrum(graph: ZdGraph) -> dict[int, AllianceSolution]:
 def oracle_solve(problem: AllianceProblem) -> AllianceSolution:
     """Brute-force reference: all subsets in increasing popcount order.
 
-    Skips only subtrees of subsets that cannot answer k, by the two rules
-    in the module docstring, and still counts them; identical verdict
-    semantics to :func:`solve`, for any integer k.  ``nodes`` counts the
-    subsets examined, 2^n - 1 when infeasible.  Raises
-    :class:`CapacityError` for a graph above ``ORACLE_MAX_VERTICES``.
+    Drops only vertices and subtrees that cannot answer k, by the rules in
+    the module docstring; identical verdict semantics to :func:`solve`,
+    for any integer k.  ``nodes`` is the witness's 1-based position in
+    that order, the subsets a plain enumeration examines up to it, and
+    2^n - 1 when infeasible.  Raises :class:`CapacityError` for a graph
+    above ``ORACLE_MAX_VERTICES``.
     """
     k = problem.k
     return _oracle_pass(problem.graph, k, k)[k]

@@ -1,13 +1,15 @@
 """Plain subset enumeration: the test-only reference for the oracle.
 
-This is how the package's brute-force oracle ran before it skipped whole
-subtrees of subsets: every subset is visited, s = 1..n, each s in
-``itertools.combinations`` order.  A dominating subset whose slack, min
-over members x of 2·deg_S(x) - deg(x), beats ``reached`` answers every k in
-(reached, slack] with its size, itself and the number of subsets examined
-so far; a k still unanswered after s = n is infeasible, with all 2^n - 1
-subsets examined.  ``oracle_spectrum`` and ``oracle_solve`` must give the
-same feasible, size, witness and nodes at every k.
+This is how the package's brute-force oracle ran before it dropped
+vertices and subtrees that cannot answer a k: every subset is visited,
+s = 1..n, each s in ``itertools.combinations`` order, and counted as it
+is visited.  A dominating subset whose slack, min over members x of
+2·deg_S(x) - deg(x), beats ``reached`` answers every k in (reached, slack]
+with its size, itself and the number of subsets examined so far; a k
+still unanswered after s = n is infeasible, with all 2^n - 1 subsets
+examined.  ``oracle_spectrum`` and ``oracle_solve`` must give the same
+feasible, size, witness and nodes at every k: the package computes the
+count from the witness's position in this order instead of adding it up.
 """
 
 from __future__ import annotations

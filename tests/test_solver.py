@@ -169,11 +169,12 @@ def test_oracle_matches_reference_on_small_corpus(expr):
 
 
 @pytest.mark.parametrize("expr", ["Z2 x Z2 x Z2 x Z2", "Z3 x Z3 x Z3",
-                                  "Z6 x Z4"])
+                                  "Z6 x Z4", "Z2 x Z11", "Z2 x Z13"])
 def test_oracle_matches_reference_where_skips_fire(expr):
-    # both skip rules cut most of these walks; the plain enumeration of
-    # the larger two takes about a second per infeasible k, so oracle_solve
-    # is checked at a few k on each side of the feasible range there
+    # the member, viability, domination and count rules drop most of these
+    # walks; the plain enumeration of the larger two of the first three
+    # takes about a second per infeasible k, so oracle_solve is checked at
+    # a few k on each side of the feasible range there
     g = G(expr)
     ks = _every_k(g) if g.vertex_count <= 14 else (
         -g.max_degree - 1, 0, g.min_degree, g.min_degree + 1)
@@ -181,11 +182,28 @@ def test_oracle_matches_reference_where_skips_fire(expr):
 
 
 def test_oracle_matches_reference_on_the_largest_corpus_ring():
-    # 21 vertices: the plain enumeration walks all 2^21 - 1 subsets (about
-    # 3 s), so this ring is checked through oracle_spectrum only
+    # 21 vertices: the plain enumeration walks all 2^21 - 1 subsets at an
+    # infeasible k (about 3 s), so oracle_solve is checked at feasible k,
+    # where its nodes, the witness's position, reach 401,959
     g = G("Z2 x Z3 x Z5")
     assert g.vertex_count == 21
-    _oracle_matches_reference(g, "Z2 x Z3 x Z5", ())
+    _oracle_matches_reference(g, "Z2 x Z3 x Z5", (-14, -1, 0, 1))
+
+
+@pytest.mark.parametrize("expr, n", [("Z81", 26), ("Z2 x GF(4) x Z5", 27)])
+def test_oracle_above_the_cap_agrees_with_spectrum(monkeypatch, expr, n):
+    # the two corpus rings above the cap, enumerated with it raised
+    g = G(expr)
+    assert g.vertex_count == n
+    monkeypatch.setattr(solver, "ORACLE_MAX_VERTICES", 27)
+    got, want = oracle_spectrum(g), spectrum(g)
+    assert sorted(got) == sorted(want), expr
+    for k, sol in want.items():
+        assert (got[k].feasible, got[k].size) == (sol.feasible, sol.size), \
+            (expr, k)
+        if sol.feasible:
+            assert g.is_global_defensive_alliance(got[k].witness, k), \
+                (expr, k)
 
 
 def test_complete_graph_closed_form():
