@@ -8,18 +8,6 @@ vertices rather than a product test on every pair.  Vertices are ordered
 by ascending ring element id, and vertex sets are plain Python ints used
 as bitsets over the vertex indices, which keeps the alliance predicates to
 a handful of integer operations.
-
-``ZdGraph.twin_classes`` partitions the vertices into twin classes, computed
-once when the graph is built.  False twins have equal open neighborhoods,
-so their class is an independent set; true twins have equal closed
-neighborhoods, so their class is a clique.  No vertex lies in a nontrivial
-class of both kinds: if x, y were false twins and x, z true twins, then z
-would be a neighbor of y but y not one of x.  Swapping two twins is a graph
-automorphism.  In a zero-divisor graph, elements with equal annihilators
-are twins (Spiroff & Wickham, Comm. Algebra 39, 2011), and the converse
-fails only for Z2 x Z2, whose two vertices are adjacent twins with
-different annihilators.  Each class is a vertex bitset; the classes are
-ordered by their lowest vertex.
 """
 
 from __future__ import annotations
@@ -43,31 +31,12 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _twin_classes(adj: tuple[int, ...], closed: tuple[int, ...]
-                  ) -> tuple[int, ...]:
-    """Vertices grouped by equal open, then (the rest) by equal closed
-    neighborhood, as bitsets ordered by lowest vertex."""
-    by_adj: dict[int, int] = {}
-    for v, a in enumerate(adj):
-        by_adj[a] = by_adj.get(a, 0) | (1 << v)
-    by_closed: dict[int, int] = {}
-    classes = []
-    for group in by_adj.values():
-        if group & (group - 1):
-            classes.append(group)
-        else:
-            v = group.bit_length() - 1
-            by_closed[closed[v]] = by_closed.get(closed[v], 0) | group
-    classes.extend(by_closed.values())
-    return tuple(sorted(classes, key=lambda c: c & -c))
-
-
 class ZdGraph:
     """Simple graph on bitset vertex sets, built by :func:`build_graph`."""
 
     __slots__ = ("ring_label", "vertex_count", "element_ids", "labels",
                  "adj", "closed", "degree", "max_degree", "min_degree",
-                 "full_mask", "twin_classes")
+                 "full_mask")
 
     def __init__(self, ring_label: str, element_ids: tuple[int, ...],
                  labels: tuple[str, ...], adj: tuple[int, ...]):
@@ -82,7 +51,6 @@ class ZdGraph:
         self.max_degree = max(self.degree)
         self.min_degree = min(self.degree)
         self.full_mask = (1 << n) - 1
-        self.twin_classes = _twin_classes(adj, self.closed)
 
     # -- vertex set plumbing ------------------------------------------------
 

@@ -7,9 +7,17 @@ alliances and related parameters in graphs", EJGTA 2, 2014).  A global
 defensive k-alliance exists iff the core dominates the graph, so an
 infeasible k is decided by one fixpoint, with no search.
 
-Twins (``ZdGraph.twin_classes``) can be swapped by a graph automorphism, so
-whether a set is a global defensive k-alliance depends only on the count
-c_i it takes from each twin class i.  For a member x of class i,
+``_ClassTables`` groups the vertices into twin classes.  False twins have
+equal open neighborhoods, so their class is an independent set; true
+twins have equal closed neighborhoods, so their class is a clique.  No
+vertex lies in a nontrivial class of both kinds: if x, y were false twins
+and x, z true twins, then z would be a neighbor of y but y not one of x.
+In a zero-divisor graph, elements with equal annihilators are twins
+(Spiroff & Wickham, Comm. Algebra 39, 2011), and the converse fails only
+for Z2 x Z2, whose two vertices are adjacent twins with different
+annihilators.  Swapping two twins is a graph automorphism, so whether a
+set is a global defensive k-alliance depends only on the count c_i it
+takes from each twin class i.  For a member x of class i,
 deg_S(x) = Σ_{j ∈ nb(i)} c_j - [i is a clique], where nb(i) holds the
 neighbor classes and a clique class (true twins) is its own neighbor.
 The core is a union of classes, so ``_Search``, the one per-k setup,
@@ -198,22 +206,37 @@ _NEVER = 1 << 62
 class _ClassTables:
     """The k-independent twin-class tables of one graph, built once per
     ``solve``, ``spectrum`` or ``domination_number`` call and shared by
-    its values of k; the class search's only view of the graph, and the
-    solver's only reader of ``graph.twin_classes``.
+    its values of k; the class search's only view of the graph.
 
-    The tables are indexed by position in ``graph.twin_classes``.  A
-    class's representative is its lowest member; its neighborhood and
-    degree stand for every member's.  ``by_degree`` is the search order
-    over all classes: degree descending, ties by lowest vertex."""
+    One pass groups the vertices by open neighborhood, and those left
+    alone by closed neighborhood; the groups, ordered by lowest vertex,
+    are the classes, and every table is indexed by that position.  A
+    class's members are ascending, its representative is its lowest
+    member, and the representative's neighborhood and degree stand for
+    every member's.  ``by_degree`` is the search order over all classes:
+    degree descending, ties by lowest vertex."""
 
     def __init__(self, graph: ZdGraph):
-        classes = graph.twin_classes
-        self.classes = classes
-        reps = [(c & -c).bit_length() - 1 for c in classes]
+        by_adj: dict[int, list[int]] = {}
+        for v, a in enumerate(graph.adj):
+            by_adj.setdefault(a, []).append(v)
+        by_closed: dict[int, list[int]] = {}
+        members = []
+        for group in by_adj.values():
+            if len(group) > 1:
+                members.append(group)
+            else:
+                v = group[0]
+                by_closed.setdefault(graph.closed[v], []).append(v)
+        members.extend(by_closed.values())
+        members.sort()  # disjoint, so ordered by lowest vertex
+        self.members = members
+        self.classes = classes = [sum(1 << v for v in m) for m in members]
+        reps = [m[0] for m in members]
         self.rep_adj = [graph.adj[v] for v in reps]
         self.rep_closed = [graph.closed[v] for v in reps]
         self.degree = [graph.degree[v] for v in reps]
-        self.size = [c.bit_count() for c in classes]
+        self.size = [len(m) for m in members]
         # neighbour-class masks, with a clique class's own bit set
         self.nb = [sum(1 << j for j, c in enumerate(classes) if a & c)
                    for a in self.rep_adj]
@@ -221,7 +244,6 @@ class _ClassTables:
         self.all_classes = (1 << len(classes)) - 1
         self.by_degree = sorted(range(len(classes)),
                                 key=lambda i: (-self.degree[i], reps[i]))
-        self.members = [tuple(bits(c)) for c in classes]
 
 
 class _Search:

@@ -39,7 +39,7 @@ from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 from . import formulas
-from .expressions import ExprError, build_ring, parse_ring_expr
+from .expressions import GF, ExprError, Zn, build_ring, parse_ring_expr
 from .graphs import ZdGraph, bits, build_graph
 from .rings import (CapacityError, FiniteRing, is_prime, local_structure,
                     prime_power, zero_divisors)
@@ -364,8 +364,16 @@ def _integer(entry: str) -> int:
 
 
 def _ring_text(entry: str) -> str:
-    parse_ring_expr(entry)
-    return entry
+    """The entry, once it parses to a ring that has a graph: Zp and GF
+    are the only fields an expression can name."""
+    expr = parse_ring_expr(entry)
+    if isinstance(expr, GF):
+        field = f"GF({expr.p ** expr.k})"
+    elif isinstance(expr, Zn) and is_prime(expr.n):
+        field = f"Z{expr.n}"
+    else:
+        return entry
+    raise ValueError(f"{field} is a field: no nonzero zero-divisors")
 
 
 def _grid_tasks(default: Sequence, parse: Callable, make: Callable,

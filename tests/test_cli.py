@@ -177,6 +177,10 @@ def test_verify_grid_parse_error_points_into_grid_entry(capsys):
     (["verify", "tables", "--grid", "2,3"], None,
      "suite 'tables' takes no grid"),
     (["verify", "tables", "--format", "md"], None, "--format needs --out"),
+    (["verify", "known_graphs", "--grid", "Z4; Z6; Z5"], None,
+     "grid entry 'Z5': Z5 is a field: no nonzero zero-divisors"),
+    (["verify", "bounds", "--grid", "Z9; GF(4)"], None,
+     "grid entry 'GF(4)': GF(4) is a field: no nonzero zero-divisors"),
 ], ids=["pair-grid-one-value", "pair-grid-three-values", "int-grid",
         "node-budget-not-integer", "time-budget-not-number", "order-cap-env",
         "order-cap-env-negative", "order-cap-env-one", "order-cap-verify",
@@ -186,7 +190,8 @@ def test_verify_grid_parse_error_points_into_grid_entry(capsys):
         "zpn-grid-exponent-one", "fields-grid-not-prime-power",
         "fields-grid-order", "z2z2F-grid-one", "z2FK-grid-small-field",
         "z2local-grid-not-local", "grid-no-entries", "grid-empty",
-        "tables-grid", "format-without-out"])
+        "tables-grid", "format-without-out", "known-graphs-grid-field",
+        "bounds-grid-field"])
 def test_malformed_run_parameter_names_its_source(
         capsys, monkeypatch, argv, order_cap, message):
     if order_cap is not None:
@@ -209,6 +214,26 @@ def test_bad_grid_entry_builds_no_ring(capsys, monkeypatch):
     code, _, err = run(capsys, "verify", "zpn", "--grid", "3,2; 4,2")
     assert code == 1
     assert err == "error: grid entry '4,2': 4 is not prime\n"
+
+
+@pytest.mark.parametrize("suite, grid, field", [
+    ("known_graphs", "Z4; Z6; Z5", "Z5"), ("bounds", "Z9; GF(4)", "GF(4)"),
+    ("bounds", "Z9; (GF(2, 3))", "GF(8)")])
+def test_field_grid_entry_builds_no_ring(capsys, monkeypatch, suite, grid,
+                                         field):
+    # a field entry is refused from its expression, before the rings
+    # ahead of it in the grid are built
+    import zdalliance.verify as V
+
+    def no_build(expr):
+        raise AssertionError(f"built {expr}")
+
+    monkeypatch.setattr(V, "build_ring", no_build)
+    code, _, err = run(capsys, "verify", suite, "--grid", grid)
+    assert code == 1
+    entry = grid.split(";")[-1].strip()
+    assert err == (f"error: grid entry {entry!r}: {field} is a field: "
+                   "no nonzero zero-divisors\n")
 
 
 def test_semantic_error_exit_1(capsys):

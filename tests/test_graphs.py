@@ -1,11 +1,12 @@
 """Zero-divisor graph construction, bitset helpers, predicates, exports."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zdalliance import (CapacityError, NoGraphError, annihilator, bits,
                         build_graph, build_ring, zero_divisors)
+from zdalliance.solver import _ClassTables
 from zdalliance.verify import KNOWN_GRAPH_CORPUS
 
 from graph_reference import pair_scan_graph
@@ -185,40 +186,57 @@ TWIN_RINGS = (
 )
 
 
-@pytest.mark.parametrize("expr", sorted(set(KNOWN_GRAPH_CORPUS + TWIN_RINGS)))
-def test_twin_classes_are_annihilator_classes(expr):
-    ring = build_ring(expr)
+def _assert_annihilator_classes(ring):
+    """The class search's twin classes are the annihilator classes, each
+    all false twins or all true twins; Z2 x Z2 is the one exception."""
     g = build_graph(ring)
+    classes = _ClassTables(g).classes
     by_ann = {}
     for v, e in enumerate(g.element_ids):
         key = annihilator(ring, e)
         by_ann[key] = by_ann.get(key, 0) | (1 << v)
-    assert g.twin_classes == tuple(sorted(by_ann.values(),
-                                          key=lambda c: c & -c))
-    for cls in g.twin_classes:
+    if g.vertex_count == 2 and g.adj[0] and len(by_ann) == 2:
+        # Z2 x Z2, however written: two adjacent twins
+        assert classes == [0b11]
+        return
+    assert classes == sorted(by_ann.values(), key=lambda c: c & -c)
+    for cls in classes:
         members = list(bits(cls))
         if len(members) > 1:
             # all false twins (an independent set) or all true twins (a clique)
             same = {g.adj[v] for v in members}, {g.closed[v] for v in members}
-            assert 1 in (len(same[0]), len(same[1])), (expr, members)
+            assert 1 in (len(same[0]), len(same[1])), (ring.label, members)
+
+
+@pytest.mark.parametrize("expr", sorted(set(KNOWN_GRAPH_CORPUS + TWIN_RINGS)))
+def test_twin_classes_are_annihilator_classes(expr):
+    _assert_annihilator_classes(build_ring(expr))
+
+
+@given(ring_exprs())
+@settings(max_examples=60, deadline=None)
+def test_twin_classes_are_annihilator_classes_property(expr):
+    ring = build_ring(expr)
+    assume(len(zero_divisors(ring)) > 1)
+    _assert_annihilator_classes(ring)
 
 
 @pytest.mark.parametrize("expr, count", [
     ("Z210", 14), ("Z1024", 9), ("Z4096", 11), ("Z60", 10),
     ("Z2 x Z2 x Z2 x Z2 x Z2", 30), ("Z23 x Z29", 2)])
 def test_twin_class_counts(expr, count):
-    assert len(G(expr).twin_classes) == count
+    assert len(_ClassTables(G(expr)).classes) == count
 
 
 def test_twin_classes_of_both_kinds():
     # Z8: 2 and 6 share the neighborhood {4} and are not adjacent
-    assert G("Z8").twin_classes == (0b101, 0b010)
+    assert _ClassTables(G("Z8")).classes == [0b101, 0b010]
     # Id(Z3, 1) is K2: its two vertices are adjacent twins
-    assert G("Id(Z3, 1)").twin_classes == (0b11,)
+    assert _ClassTables(G("Id(Z3, 1)")).classes == [0b11]
     # so is Z2 x Z2, the one ring whose twins can differ in annihilator
     ring = build_ring("Z2 x Z2")
     g = build_graph(ring)
-    assert g.twin_classes == (0b11,)
+    assert _ClassTables(g).classes == [0b11]
     assert annihilator(ring, g.element_ids[0]) != \
         annihilator(ring, g.element_ids[1])
 

@@ -6,11 +6,11 @@ attribute, and no ``from ... import`` may name one; a module's own
 private functions are called by bare name.  The test references obey the
 same rule, so they cannot borrow the engine code they check.  Only
 ``rings`` reads the environment: it alone decides the ring order cap.
-In ``solver`` only ``_ClassTables`` reads ``ZdGraph.twin_classes``, so the
-class view is built in one place and the oracle stays independent of it,
-as does the vertex-level reference.  The class search sees the graph only
-through those tables: ``_Search``, ``_solve_with_gamma`` and
-``_alliance_lower_bound`` read no graph attribute.
+In ``solver`` only the class search names ``_ClassTables``, which groups
+the twins, so the oracle stays independent of the class view.  The class
+search sees the graph only through those tables: ``_Search``,
+``_solve_with_gamma`` and ``_alliance_lower_bound`` read no graph
+attribute.
 """
 
 import ast
@@ -26,7 +26,8 @@ REFERENCES = sorted([TESTS / "vertex_search.py", TESTS / "ring_axioms.py",
                      *TESTS.glob("*_reference.py")])
 CLASS_SEARCH = ("_Search", "_solve_with_gamma", "_alliance_lower_bound")
 GRAPH_ATTRIBUTES = ("graph", "adj", "closed", "full_mask", "vertex_count",
-                    "min_degree", "max_degree", "twin_classes")
+                    "min_degree", "max_degree")
+ORACLE = ("_oracle_pass", "oracle_solve", "oracle_spectrum")
 
 
 def _is_private(name: str) -> bool:
@@ -65,13 +66,15 @@ def _environment_reads(path: Path) -> list[str]:
     return found
 
 
-def _twin_class_readers(path: Path) -> list[str]:
-    """The top-level definition around each read of ``.twin_classes``."""
+def _names_class_tables(path: Path) -> dict[str, bool]:
+    """Whether each top-level definition but ``_ClassTables`` itself names
+    ``_ClassTables``, in its body or in an annotation."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    return [getattr(top, "name", f"line {top.lineno}")
-            for top in tree.body for node in ast.walk(top)
-            if isinstance(node, ast.Attribute)
-            and node.attr == "twin_classes"]
+    return {top.name: any(isinstance(node, ast.Name)
+                          and node.id == "_ClassTables"
+                          for node in ast.walk(top))
+            for top in tree.body
+            if getattr(top, "name", "_ClassTables") != "_ClassTables"}
 
 
 def _graph_reads(path: Path, names: tuple[str, ...]) -> dict[str, list]:
@@ -107,9 +110,11 @@ def test_only_rings_reads_the_environment(path):
     assert bool(reads) == (path.name == "rings.py"), reads
 
 
-def test_only_the_class_tables_read_twin_classes():
-    assert set(_twin_class_readers(PACKAGE / "solver.py")) == {"_ClassTables"}
-    assert _twin_class_readers(TESTS / "vertex_search.py") == []
+def test_only_the_class_search_names_the_class_tables():
+    names = _names_class_tables(PACKAGE / "solver.py")
+    assert {name for name, used in names.items() if used} == {
+        "solve", "spectrum", "_Search", "_alliance_lower_bound"}
+    assert [names[name] for name in ORACLE] == [False] * len(ORACLE)
 
 
 def test_class_search_sees_the_graph_only_through_its_tables():

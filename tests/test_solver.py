@@ -397,7 +397,7 @@ def _graph_or_reject(expr, max_vertices):
 @settings(max_examples=100, deadline=None)
 def test_class_search_agrees_with_vertex_search(expr):
     g = _graph_or_reject(expr, 60)
-    singletons = len(g.twin_classes) == g.vertex_count
+    singletons = len(solver._ClassTables(g).classes) == g.vertex_count
     got_nodes = want_nodes = 0
     for k in range(-g.max_degree, g.max_degree + 1):
         try:
@@ -445,7 +445,7 @@ def test_spectrum_rings_nodes_never_rise(expr):
 @pytest.mark.parametrize("expr", ["Z2 x Z2 x Z2", "Z2 x Z2 x Z2 x Z2"])
 def test_singleton_classes_give_the_vertex_search_witness(expr):
     g = G(expr)
-    assert len(g.twin_classes) == g.vertex_count
+    assert len(solver._ClassTables(g).classes) == g.vertex_count
     for k in range(-g.max_degree, g.max_degree + 1):
         got, want = solve(AllianceProblem(g, k)), vertex_solve(g, k)
         assert (got.size, got.witness) == (want.size, want.witness), k
@@ -456,7 +456,7 @@ def test_witness_takes_the_first_members_of_each_class():
     g = G("Z4096")
     sol = solve(AllianceProblem(g, 0))
     assert sol.size == 1024
-    for cls in g.twin_classes:
+    for cls in solver._ClassTables(g).classes:
         taken = sol.witness & cls
         members = list(bits(cls))
         assert taken == sum(1 << v for v in members[:taken.bit_count()])
