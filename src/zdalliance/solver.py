@@ -80,6 +80,7 @@ greedy cover bound short               the least budget whose greedy sum
 disjoint demands total > b             the full total of the scan
 expanded with n_i > b                  b + 1 (children c > b were not
                                        made)
+not its orbit's leader (see below)     never
 =====================================  ==================================
 
 The round at s returns T, the least c + threshold over its frontier, and
@@ -99,9 +100,40 @@ size and a witness.  Node/time budgets, when given, raise
 k = -max_degree every dominating set qualifies, so the domination number
 is that k's answer.
 
-The k-independent class tables are built once per ``solve``, ``spectrum``
-or ``domination_number`` call; each k's setup adds its needs, its core
-and, when that dominates, the core's class order and its suffixes.
+Symmetric graphs, such as Γ(R) for a product with repeated factors,
+would make the search visit every image of every partial set.
+``_ClassTables`` keeps some automorphisms of the class graph: class
+permutations σ that keep sizes and clique flags and map each nb(i) onto
+nb(σ(i)), so that mapping each class onto its image member by member is
+a graph automorphism (on Z2^n, the transpositions of factors).  σ maps a
+count vector x to σ(x), with σ(x)_σ(i) = x_i, and an alliance to an
+alliance of the same size.  Vectors are compared in the search's own
+order: class by class in the order above, dropped classes counting 0,
+the larger count being greater, so the depth-first search meets them in
+descending order.  The greatest vector of an orbit is its *leader*.  A
+node is pruned when some kept σ has σ(x) > x at the first class where
+the two differ, every class up to it decided in both: each completion x'
+of the node then has σ(x') > x' as well and is no leader (the lex-leader
+rule; Margot, "Symmetry in integer linear programming", 2010).  Without
+the rule, the first solution a round meets is the greatest alliance
+vector of size s, since the other rules drop no solution.  Its images
+are alliances of size s too, so it is its orbit's leader, and the rule
+drops no node on its path: the round returns the same witness, and only
+``nodes`` falls.  A symmetry prune's threshold is never: to rule out a
+set of size s' with s < s' < T, follow its orbit's leader, of the same
+size s', down the round-s tree instead; no symmetry prune stops that
+path, and the other rules argue as above.  Automorphisms map each k's
+core, the largest defensive k-alliance, onto itself, so every σ permutes
+the classes the search decides at every k.  Each node carries, for each
+σ still in play, how far its comparison has got, and its children resume
+from there; a σ that compared lower, or equal on every class it moves,
+can prune no descendant and is dropped for the subtree.  A graph without
+kept symmetries carries an empty tuple and compares nothing.
+
+The k-independent class tables, symmetries included, are built once per
+``solve``, ``spectrum`` or ``domination_number`` call; each k's setup
+adds its needs, its core and, when that dominates, the core's class order
+and its suffixes.
 
 ``spectrum`` is the one entry point for many values of k.  It uses the
 exact monotonicity of the problem: a global defensive (k+1)-alliance is
@@ -159,6 +191,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from math import comb
+from operator import itemgetter
 from typing import Optional
 
 from .graphs import ZdGraph, bits
@@ -214,7 +247,9 @@ class _ClassTables:
     class's members are ascending, its representative is its lowest
     member, and the representative's neighborhood and degree stand for
     every member's.  ``by_degree`` is the search order over all classes:
-    degree descending, ties by lowest vertex."""
+    degree descending, ties by lowest vertex.  ``symmetries`` holds the
+    automorphisms ``_class_automorphisms`` finds, each in the form the
+    search compares count vectors with (see the module docstring)."""
 
     def __init__(self, graph: ZdGraph):
         by_adj: dict[int, list[int]] = {}
@@ -244,6 +279,170 @@ class _ClassTables:
         self.all_classes = (1 << len(classes)) - 1
         self.by_degree = sorted(range(len(classes)),
                                 key=lambda i: (-self.degree[i], reps[i]))
+        # each kept automorphism σ as a chain of steps (rank, both, here,
+        # there, next step) comparing σ(x) with a count vector x in search
+        # order: at class j (vertices ``here``), σ(x) holds x at
+        # i = σ⁻¹(j) (``there``).  Both counts are decided once no vertex
+        # of ``both`` is undecided, at the latest past the classes of rank
+        # up to max(rank i, rank j).  The chains, by that rank, are every
+        # search's opening comparisons.
+        self.symmetries = ()
+        perms = _class_automorphisms(self.size, self.clique, self.nb,
+                                     self.degree)
+        if not perms:
+            return
+        rank = {i: r for r, i in enumerate(self.by_degree)}
+        chains = []
+        for perm in perms:
+            moved = sorted((rank[j], i, j) for i, j in enumerate(perm)
+                           if i != j)
+            step = None
+            for r, i, j in reversed(moved):
+                step = (max(r, rank[i]), classes[i] | classes[j],
+                        classes[j], classes[i], step)
+            chains.append(step)
+        self.symmetries = tuple(sorted(chains, key=itemgetter(0)))
+
+
+def _refine(nb: list[int], cells: dict, fixed: dict, queue: list[int]
+            ) -> None:
+    """Split a partition of the classes by the splitters in ``queue``
+    until none splits a cell: a splitter w parts each cell by how many
+    neighbour classes in w its members have.  ``cells`` maps the key of
+    each cell of several classes to its class bitset and ``fixed`` the key
+    of each cell of one class to that class; both change in place.  A cell
+    K splits into the parts K + (0,), K + (1,), ... in ascending count
+    order, so the keys and their order follow from the partition's shape
+    alone: an isomorphism that maps one input onto another maps the
+    outputs, key for key."""
+    while queue:
+        w = queue.pop()
+        # the counts, bit-sliced: class i's count has bit l when i is in
+        # slices[l]; adding nb(v) is a ripple-carry add on every class
+        slices: list[int] = []
+        while w:
+            low = w & -w
+            w ^= low
+            carry = nb[low.bit_length() - 1]
+            for level, sl in enumerate(slices):
+                slices[level] = sl ^ carry
+                carry &= sl
+                if not carry:
+                    break
+            else:
+                slices.append(carry)
+        touch = 0
+        for sl in slices:
+            touch |= sl
+        for key, x in [item for item in cells.items() if item[1] & touch]:
+            parts = [x]
+            for sl in reversed(slices):  # high bit first: ascending counts
+                parts = [q for p in parts for q in (p & ~sl, p & sl) if q]
+            if len(parts) == 1:
+                continue
+            del cells[key]
+            for j, p in enumerate(parts):
+                if p & (p - 1):
+                    cells[key + (j,)] = p
+                else:
+                    fixed[key + (j,)] = p.bit_length() - 1
+            # the parts but one largest: with the counts into x, known or
+            # still queued, they give the counts into the last
+            big = max(parts, key=int.bit_count)
+            queue.extend(p for p in parts if p != big)
+
+
+def _pin(nb: list[int], cells: dict, fixed: dict, key: tuple, v: int
+         ) -> tuple[dict, dict]:
+    """A copy of the equitable partition with class v of cell ``key`` made
+    a cell of its own, ahead of the rest of that cell, and refined."""
+    cells, fixed = dict(cells), dict(fixed)
+    rest = cells.pop(key) ^ 1 << v
+    fixed[key + (0,)] = v
+    if rest & (rest - 1):
+        cells[key + (1,)] = rest
+    else:
+        fixed[key + (1,)] = rest.bit_length() - 1
+    _refine(nb, cells, fixed, [1 << v])
+    return cells, fixed
+
+
+def _class_automorphisms(size: list[int], clique: list[int], nb: list[int],
+                         degree: list[int]) -> list[list[int]]:
+    """Some class permutations π that lift to graph automorphisms: π keeps
+    ``size`` and ``clique`` and maps each nb(i) onto nb(π(i)), so a
+    bijection of each class onto its image preserves every adjacency.
+
+    Colour refinement from (size, clique, degree) gives an equitable
+    partition.  Its first cell of several classes, with first member a,
+    yields one candidate per other member b: a pinned on one side and b
+    on the other, each side refined, then wherever the two sides still
+    hold a cell of several classes, the same class pinned on both sides
+    (one of the cell's own on each when the cell shares none) until every
+    cell holds one class, the cell of a key on one side mapping onto the
+    cell of that key on the other.  Then a is pinned for good and the next
+    such cell is taken.  Every candidate is checked before it is kept, so
+    a refinement that misleads only loses a symmetry.  On Z2^n this gives
+    the n(n-1)/2 transpositions of the factors."""
+    n = len(size)
+    keys = list(zip(size, clique, degree))
+    if len(set(keys)) == n:  # no two classes can be swapped
+        return []
+    seed: dict[tuple[int, int, int], int] = {}
+    for i, key in enumerate(keys):
+        seed[key] = seed.get(key, 0) | 1 << i
+    cells, fixed = {}, {}
+    for j, key in enumerate(sorted(seed)):
+        x = seed[key]
+        if x & (x - 1):
+            cells[(j,)] = x
+        else:
+            fixed[(j,)] = x.bit_length() - 1
+    _refine(nb, cells, fixed, list(seed.values()))
+    found = []
+    while cells:
+        key = min(cells)
+        x = cells[key]
+        a = (x & -x).bit_length() - 1
+        pinned = _pin(nb, cells, fixed, key, a)
+        for b in bits(x ^ 1 << a):
+            (lc, lf), (rc, rf) = pinned, _pin(nb, cells, fixed, key, b)
+            while lc:
+                k2 = min(lc)
+                u, w = lc[k2], rc.get(k2, 0)
+                if u.bit_count() != w.bit_count():
+                    break
+                if u & w:
+                    u = w = u & w
+                lc, lf = _pin(nb, lc, lf, k2, (u & -u).bit_length() - 1)
+                rc, rf = _pin(nb, rc, rf, k2, (w & -w).bit_length() - 1)
+            else:
+                if lf.keys() == rf.keys():
+                    perm = [0] * n
+                    for k2, i in lf.items():
+                        perm[i] = rf[k2]
+                    if _lifts(perm, size, nb):
+                        found.append(perm)
+        cells, fixed = pinned
+    return found
+
+
+def _lifts(perm: list[int], size: list[int], nb: list[int]) -> bool:
+    """Whether the class permutation keeps sizes and maps every
+    neighbour-class mask onto its image's; a clique class's mask holds
+    its own bit, so clique flags are kept too."""
+    for i, j in enumerate(perm):
+        if size[i] != size[j]:
+            return False
+        image = 0
+        m = nb[i]
+        while m:
+            low = m & -m
+            m ^= low
+            image |= 1 << perm[low.bit_length() - 1]
+        if image != nb[j]:
+            return False
+    return True
 
 
 class _Search:
@@ -308,9 +507,10 @@ class _Search:
 
     def run(self, s: int) -> tuple[Optional[int], int]:
         """Depth-first search for a cardinality-s set on an explicit stack of
-        (position, chosen vertices, chosen classes, covered classes, count)
-        entries; every popped node meets ``_pruned``, and one that passes
-        with no picks left is the witness.  The children of a class take
+        (position, chosen vertices, chosen classes, covered classes, count,
+        open symmetry comparisons) entries; every popped node meets the
+        symmetry rule and ``_pruned``, and one that passes with no picks
+        left is the witness.  The children of a class take
         c = min(n, b), ..., 0 of its n members and are pushed smallest
         first, so the largest count is explored first.
 
@@ -325,10 +525,15 @@ class _Search:
         order, size = self.order, t.size
         classes, members, nb = t.classes, t.members, t.nb
         nxt = _NEVER
-        stack = [(0, 0, 0, 0, 0)]
+        stack = [(0, 0, 0, 0, 0, t.symmetries)]
         while stack:
-            pos, s_mask, chosen, ccov, count = stack.pop()
+            pos, s_mask, chosen, ccov, count, cmp = stack.pop()
             self._tick()
+            # compare once the earliest open step, by rank, is decided
+            if cmp and not cmp[0][1] & self.rem[pos]:
+                cmp = self._compare(cmp, self.rem[pos], s_mask)
+                if cmp is None:
+                    continue  # not its orbit's leader: threshold never
             b = s - count
             lift = self._pruned(pos, s_mask, chosen, ccov, b)
             if lift:
@@ -342,7 +547,7 @@ class _Search:
             if n > b:
                 # the children c = b + 1 .. n first appear at s + 1
                 nxt = s + 1
-            stack.append((pos + 1, s_mask, chosen, ccov, count))
+            stack.append((pos + 1, s_mask, chosen, ccov, count, cmp))
             cls_members = members[i]
             cls = classes[i]
             bit = 1 << i
@@ -354,8 +559,30 @@ class _Search:
                 else:
                     take = cls & ((2 << cls_members[c - 1]) - 1)
                 stack.append((pos + 1, s_mask | take, chosen | bit,
-                              child_ccov, count + c))
+                              child_ccov, count + c, cmp))
         return None, nxt
+
+    def _compare(self, cmp: tuple, rem: int, s_mask: int
+                 ) -> Optional[tuple]:
+        """Carry each open comparison of σ(x) with x, the next step of its
+        chain, through the classes decided outside ``rem``: None when some
+        σ(x) is greater at its first difference, else the steps still
+        open, by rank.  A σ whose image is smaller there, or equal at
+        every class it moves, can prune no descendant, and is dropped."""
+        still = []
+        for step in cmp:
+            while not step[1] & rem:
+                _, _, here, there, step_after = step
+                d = (s_mask & there).bit_count() - (s_mask & here).bit_count()
+                if d > 0:
+                    return None
+                if d or step_after is None:
+                    break
+                step = step_after
+            else:
+                still.append(step)
+        still.sort(key=itemgetter(0))
+        return tuple(still)
 
     def _pruned(self, pos: int, s_mask: int, chosen: int, ccov: int,
                 b: int) -> int:

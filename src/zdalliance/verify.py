@@ -39,7 +39,8 @@ from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 from . import formulas
-from .expressions import GF, ExprError, Zn, build_ring, parse_ring_expr
+from .expressions import (GF, ExprError, Idealization, RingExpr, Zn,
+                          build_ring, parse_ring_expr)
 from .graphs import ZdGraph, bits, build_graph
 from .rings import (CapacityError, FiniteRing, is_prime, local_structure,
                     prime_power, zero_divisors)
@@ -438,13 +439,32 @@ def _z2FK(fq: tuple[int, int]) -> RingTask:
                     partial(formulas.predict_z2_two_fields, f, q))
 
 
+def _local_shape(expr: RingExpr) -> Optional[tuple[int, int, int]]:
+    """(|R|, |M|, nilpotency index of M) when the expression names a local
+    ring R with maximal ideal M, else None, read off the expression: Z_n
+    is local iff n is a prime power, GF is a field, a product never is
+    local, and Id(R, n) = R (+) R^n is local iff R is, with M (+) R^n for
+    its maximal ideal, one step longer to vanish."""
+    if isinstance(expr, Zn):
+        pe = prime_power(expr.n)
+        return None if pe is None else (expr.n, expr.n // pe[0], pe[1])
+    if isinstance(expr, GF):
+        return expr.p ** expr.k, 1, 1
+    if isinstance(expr, Idealization):
+        base = _local_shape(expr.base)
+        if base is None:
+            return None
+        r, z, index = base
+        return r ** (expr.rank + 1), z * r ** expr.rank, index + 1
+    return None
+
+
 def _z2local(base_expr: str) -> RingTask:
-    base = build_ring(base_expr)
-    struct = local_structure(base)
-    if struct is None or len(struct.maximal_ideal) < 2:
+    shape = _local_shape(parse_ring_expr(base_expr))
+    if shape is None or shape[1] < 2:
         raise ValueError(f"{base_expr} is not a local non-field ring")
-    r, z = base.order, len(struct.maximal_ideal)
-    index2 = struct.nilpotency_index == 2
+    r, z, index = shape
+    index2 = index == 2
     return RingTask("formula", f"Z2 x {base_expr}", "z2_local",
                     f"R={base_expr};r={r};z={z};index2={int(index2)}",
                     partial(formulas.predict_z2_local, r, z, index2))

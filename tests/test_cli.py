@@ -236,6 +236,25 @@ def test_field_grid_entry_builds_no_ring(capsys, monkeypatch, suite, grid,
                    "no nonzero zero-divisors\n")
 
 
+@pytest.mark.parametrize("grid, entry", [
+    ("Z9; Z6", "Z6"), ("Z9; GF(4)", "GF(4)"), ("Z8; Z7", "Z7"),
+    ("Id(Z3, 1); Z2 x Z4", "Z2 x Z4"), ("Z4; Id(Z6, 1)", "Id(Z6, 1)")])
+def test_non_local_grid_entry_builds_no_ring(capsys, monkeypatch, grid,
+                                             entry):
+    # z2local reads locality off the expression, so a non-local or field
+    # entry is refused before the rings ahead of it in the grid are built
+    import zdalliance.verify as V
+
+    def no_build(expr):
+        raise AssertionError(f"built {expr}")
+
+    monkeypatch.setattr(V, "build_ring", no_build)
+    code, _, err = run(capsys, "verify", "z2local", "--grid", grid)
+    assert code == 1
+    assert err == (f"error: grid entry {entry!r}: {entry} is not a local "
+                   "non-field ring\n")
+
+
 def test_semantic_error_exit_1(capsys):
     code, _, err = run(capsys, "ring-info", "GF(6)")
     assert code == 1

@@ -10,7 +10,10 @@ In ``solver`` only the class search names ``_ClassTables``, which groups
 the twins, so the oracle stays independent of the class view.  The class
 search sees the graph only through those tables: ``_Search``,
 ``_solve_with_gamma`` and ``_alliance_lower_bound`` read no graph
-attribute.
+attribute.  The symmetry finder works on class-table data alone, and
+only ``_ClassTables`` calls it; the oracle and the vertex-search
+reference never name it or the symmetries, so the cross-checks stay
+independent of the rule they check.
 """
 
 import ast
@@ -28,6 +31,9 @@ CLASS_SEARCH = ("_Search", "_solve_with_gamma", "_alliance_lower_bound")
 GRAPH_ATTRIBUTES = ("graph", "adj", "closed", "full_mask", "vertex_count",
                     "min_degree", "max_degree")
 ORACLE = ("_oracle_pass", "oracle_solve", "oracle_spectrum")
+# the symmetry finder and its helpers, and the tables' name for its output
+FINDER = ("_class_automorphisms", "_refine", "_pin", "_lifts")
+FINDER_ARGUMENTS = ["size", "clique", "nb", "degree"]
 
 
 def _is_private(name: str) -> bool:
@@ -66,15 +72,20 @@ def _environment_reads(path: Path) -> list[str]:
     return found
 
 
-def _names_class_tables(path: Path) -> dict[str, bool]:
-    """Whether each top-level definition but ``_ClassTables`` itself names
-    ``_ClassTables``, in its body or in an annotation."""
+def _names(path: Path, target: str) -> dict[str, bool]:
+    """Whether each top-level definition but ``target`` itself names
+    ``target``, in its body or in an annotation."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    return {top.name: any(isinstance(node, ast.Name)
-                          and node.id == "_ClassTables"
+    return {top.name: any(isinstance(node, ast.Name) and node.id == target
                           for node in ast.walk(top))
-            for top in tree.body
-            if getattr(top, "name", "_ClassTables") != "_ClassTables"}
+            for top in tree.body if getattr(top, "name", target) != target}
+
+
+def _mentions(tree: ast.AST, names: tuple[str, ...]) -> list[str]:
+    """Every name or attribute in ``names`` used anywhere in ``tree``."""
+    return [ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id in names
+            or isinstance(node, ast.Attribute) and node.attr in names]
 
 
 def _graph_reads(path: Path, names: tuple[str, ...]) -> dict[str, list]:
@@ -111,7 +122,7 @@ def test_only_rings_reads_the_environment(path):
 
 
 def test_only_the_class_search_names_the_class_tables():
-    names = _names_class_tables(PACKAGE / "solver.py")
+    names = _names(PACKAGE / "solver.py", "_ClassTables")
     assert {name for name, used in names.items() if used} == {
         "solve", "spectrum", "_Search", "_alliance_lower_bound"}
     assert [names[name] for name in ORACLE] == [False] * len(ORACLE)
@@ -120,3 +131,35 @@ def test_only_the_class_search_names_the_class_tables():
 def test_class_search_sees_the_graph_only_through_its_tables():
     reads = _graph_reads(PACKAGE / "solver.py", CLASS_SEARCH)
     assert reads == {name: [] for name in CLASS_SEARCH}
+
+
+def test_the_finder_reads_only_class_table_data():
+    path = PACKAGE / "solver.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    finder = {top.name: top for top in tree.body
+              if getattr(top, "name", None) in FINDER}
+    assert sorted(finder) == sorted(FINDER)
+    assert [a.arg for a in finder["_class_automorphisms"].args.args] == \
+        FINDER_ARGUMENTS
+    assert _graph_reads(path, FINDER) == {name: [] for name in FINDER}
+    # the helpers take the neighbour masks and partitions, nothing else
+    for name in FINDER:
+        assert not _mentions(finder[name], ("self", "tables", "graph")), name
+
+
+def test_only_the_class_tables_call_the_finder():
+    names = _names(PACKAGE / "solver.py", "_class_automorphisms")
+    assert {name for name, used in names.items() if used} == {"_ClassTables"}
+
+
+def test_the_cross_checks_never_name_the_symmetries():
+    path = PACKAGE / "solver.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    oracle = [top for top in tree.body if getattr(top, "name", None) in ORACLE]
+    assert len(oracle) == len(ORACLE)
+    names = (*FINDER, "symmetries")
+    for top in oracle:
+        assert _mentions(top, names) == [], top.name
+    reference = TESTS / "vertex_search.py"
+    assert _mentions(ast.parse(reference.read_text(encoding="utf-8")),
+                     names) == []

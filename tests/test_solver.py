@@ -14,6 +14,7 @@ from zdalliance import (ORACLE_MAX_VERTICES, AllianceProblem, BudgetExceeded,
                         oracle_spectrum, solve, spectrum, zero_divisors)
 from zdalliance.verify import KNOWN_GRAPH_CORPUS
 from oracle_reference import reference_solve, reference_spectrum
+from test_rings import ring_exprs
 from vertex_search import vertex_solve, vertex_spectrum
 
 PINNED = {
@@ -470,12 +471,22 @@ def test_z210_within_the_ladder_budget():
         assert g.is_global_defensive_alliance(sol.witness, k), k
 
 
+# spectrum nodes per ring of the perfbench spectrum workload; 13,792 in
+# all without the lex-leader rule (Z2^5 alone 11,021, Z2 x Z4 x Z4 1,759)
+# and 244,622 by the vertex search
+SPECTRUM_WORKLOAD_NODES = {"Z64": 189, "Z2 x Z27": 296,
+                           "Z2 x Z2 x Z2 x Z2 x Z2": 1793,
+                           "Z2 x Z4 x Z4": 1154, "Z60": 527}
+
+
 def test_spectrum_workload_node_total():
-    # a tenth of the 244,622 nodes the vertex search spent on these rings
+    assert set(SPECTRUM_WORKLOAD_NODES) == set(SPECTRUM_RINGS)
     total = 0
-    for expr in SPECTRUM_RINGS:
-        total += sum(sol.nodes for sol in spectrum(G(expr)).values())
-    assert total <= 24_462
+    for expr, most in SPECTRUM_WORKLOAD_NODES.items():
+        nodes = sum(sol.nodes for sol in spectrum(G(expr)).values())
+        assert nodes <= most, expr
+        total += nodes
+    assert total <= 4_500
 
 
 # -- a failed round skips the cardinalities its frontier rules out --------
@@ -605,3 +616,165 @@ def test_milp_cross_check_every_k(expr):
     for k in range(-g.max_degree, g.max_degree + 1):
         sol = solve(AllianceProblem(g, k))
         assert _milp_size(g, k) == sol.size, k
+
+
+# -- symmetry: the lex-leader rule against the same search without it ------
+
+class _PlainTables(solver._ClassTables):
+    """The class tables with no symmetry kept: the search without the
+    lex-leader rule."""
+
+    def __init__(self, graph):
+        super().__init__(graph)
+        self.symmetries = ()
+
+
+def _without_symmetries(call, *args, **kwargs):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_ClassTables", _PlainTables)
+        return call(*args, **kwargs)
+
+
+def _assert_rule_keeps_witnesses(g, expr, node_budget=None):
+    got = spectrum(g, node_budget=node_budget)
+    want = _without_symmetries(spectrum, g, node_budget=node_budget)
+    assert got.keys() == want.keys()
+    for k in got:
+        pairs = [(got[k], want[k]),
+                 (solve(AllianceProblem(g, k), node_budget=node_budget),
+                  _without_symmetries(solve, AllianceProblem(g, k),
+                                      node_budget=node_budget))]
+        for new, old in pairs:
+            assert (new.feasible, new.size, new.witness) == \
+                (old.feasible, old.size, old.witness), (expr, k)
+            assert new.nodes <= old.nodes, (expr, k)
+
+
+# products with repeated factors, where the class graph has automorphisms
+SYMMETRIC_PRODUCTS = ("Z2 x Z2 x Z2", "Z2 x Z2 x Z2 x Z2", "Z3 x Z3 x Z3",
+                      "Z2 x Z2 x Z9", "Z9 x Z9", "Z8 x Z8",
+                      "Z3 x Z3 x Z3 x Z2", "Z2 x Z2 x Z2 x Z4",
+                      "GF(4) x GF(4) x Z2")
+
+
+@pytest.mark.parametrize("expr", sorted(set(KNOWN_GRAPH_CORPUS)
+                                        | set(SPECTRUM_RINGS)
+                                        | set(SYMMETRIC_PRODUCTS)))
+def test_symmetry_rule_keeps_every_witness(expr):
+    # the first solution of a round is the greatest vector of its size,
+    # so the leader of its orbit: the rule only removes nodes
+    _assert_rule_keeps_witnesses(G(expr), expr)
+
+
+@given(ring_exprs())
+@settings(max_examples=60, deadline=None)
+def test_symmetry_rule_keeps_every_witness_on_ring_exprs(expr):
+    g = _graph_or_reject(expr, 40)
+    try:
+        _without_symmetries(spectrum, g, node_budget=REFERENCE_NODE_BUDGET)
+        for k in range(-g.max_degree, g.max_degree + 1):
+            _without_symmetries(solve, AllianceProblem(g, k),
+                                node_budget=REFERENCE_NODE_BUDGET)
+    except BudgetExceeded:
+        assume(False)
+    # never more nodes per k, so never out of a budget the plain search met
+    _assert_rule_keeps_witnesses(g, expr, REFERENCE_NODE_BUDGET)
+
+
+def _lifts_to_an_automorphism(tables, perm):
+    n = len(tables.classes)
+    if sorted(perm) != list(range(n)):
+        return False
+    for i, j in enumerate(perm):
+        image = sum(1 << perm[v] for v in bits(tables.nb[i]))
+        if (tables.size[i], tables.clique[i], image) != \
+                (tables.size[j], tables.clique[j], tables.nb[j]):
+            return False
+    return True
+
+
+def _automorphisms(tables):
+    return solver._class_automorphisms(tables.size, tables.clique,
+                                       tables.nb, tables.degree)
+
+
+@given(ring_exprs())
+@settings(max_examples=60, deadline=None)
+def test_kept_symmetries_are_automorphisms(expr):
+    g = _graph_or_reject(expr, 130)
+    tables = solver._ClassTables(g)
+    perms = _automorphisms(tables)
+    assert len(tables.symmetries) == len(perms)
+    for perm in perms:
+        assert perm != list(range(len(perm))), expr
+        assert _lifts_to_an_automorphism(tables, perm), (expr, perm)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_boolean_rings_give_the_factor_transpositions(n):
+    g = G(" x ".join(["Z2"] * n))
+    tables = solver._ClassTables(g)
+    # singleton classes; element ids are n-bit words, one bit per factor
+    vertex_class = {m[0]: c for c, m in enumerate(tables.members)}
+    element_vertex = {e: v for v, e in enumerate(g.element_ids)}
+    want = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            perm = [0] * len(tables.classes)
+            for c, (v,) in enumerate(tables.members):
+                e = g.element_ids[v]
+                if (e >> a & 1) != (e >> b & 1):
+                    e ^= 1 << a | 1 << b
+                perm[c] = vertex_class[element_vertex[e]]
+            want.append(perm)
+    assert sorted(_automorphisms(tables)) == sorted(want)
+    assert len(want) == n * (n - 1) // 2
+
+
+def _lcf_graph(shifts):
+    """Neighbour masks of the cubic graph with LCF notation ``shifts``."""
+    n = len(shifts)
+    nb = [0] * n
+    for i, shift in enumerate(shifts):
+        for j in ((i + 1) % n, (i + shift) % n):
+            nb[i] |= 1 << j
+            nb[j] |= 1 << i
+    return nb
+
+
+@pytest.mark.parametrize("shifts, count", [
+    # the Frucht graph: cubic, and only the identity maps it onto itself,
+    # so every candidate that pinning and refinement propose is wrong
+    ([-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2], 0),
+    # the 3-cube: one vertex onto each of the 7 others, then with it
+    # pinned a neighbour onto the 2 others, then a third pair
+    ([3, -3] * 4, 10)])
+def test_finder_keeps_only_checked_candidates(shifts, count):
+    nb = _lcf_graph(shifts)
+    n = len(nb)
+    perms = solver._class_automorphisms([1] * n, [0] * n, nb, [3] * n)
+    assert len(perms) == count
+    for perm in perms:
+        assert sorted(perm) == list(range(n))
+        assert all(sum(1 << perm[v] for v in bits(nb[i])) == nb[perm[i]]
+                   for i in range(n))
+
+
+@pytest.mark.parametrize("expr", ["Z4096", "Z210", "Z2 x Z27", "Z60",
+                                  "Z2 x GF(4) x Z5"])
+def test_asymmetric_class_graphs_keep_no_symmetry(expr):
+    tables = solver._ClassTables(G(expr))
+    assert _automorphisms(tables) == [] and not tables.symmetries
+
+
+@pytest.mark.parametrize("expr", SYMMETRIC_PRODUCTS + SPECTRUM_RINGS)
+def test_symmetries_map_every_core_onto_itself(expr):
+    # so the rule compares only classes that every k's search decides
+    g = G(expr)
+    tables = solver._ClassTables(g)
+    perms = _automorphisms(tables)
+    for k in range(-g.max_degree, g.max_degree + 1):
+        alive = solver._Search(tables, k, tables.all_classes, None,
+                               None).alive
+        for perm in perms:
+            assert sum(1 << perm[i] for i in bits(alive)) == alive, (expr, k)

@@ -8,11 +8,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
-from zdalliance import (SuiteConfig, build_graph, build_ring, run_suite,
-                        solver, summarize, verify)
+from zdalliance import (SuiteConfig, build_graph, build_ring,
+                        local_structure, parse_ring_expr, run_suite, solver,
+                        summarize, verify)
 from zdalliance.verify import (CSV_COLUMNS, emit_report, records_from_dicts,
                                records_to_dicts)
+from test_rings import ring_exprs
 
 
 def _strip_timing(text: str) -> list[list[str]]:
@@ -70,6 +73,18 @@ def test_z2local_suite_statuses():
 def test_z2local_rejects_non_local_grid():
     with pytest.raises(ValueError):
         run_suite(SuiteConfig(suite="z2local", grid="Z6"))
+
+
+@given(ring_exprs())
+@settings(max_examples=80, deadline=None)
+def test_local_shape_matches_the_built_ring(expr):
+    # z2local decides locality, |R|, |M| and the index of M from the
+    # expression; the construction states the same once built
+    struct = local_structure(build_ring(expr))
+    want = None if struct is None else (
+        build_ring(expr).order, len(struct.maximal_ideal),
+        struct.nilpotency_index)
+    assert verify._local_shape(parse_ring_expr(expr)) == want
 
 
 def test_known_graphs_oracle_cap_reported_not_dropped():
