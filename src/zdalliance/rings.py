@@ -44,7 +44,9 @@ Constructions are pure and deterministic: the same parameters always yield
 the same element encoding, which downstream layers rely on for stable
 vertex orders and reports.  All constructors enforce one order cap and
 check it before an order is built, so a term far above the cap fails at
-once with a ``CapacityError`` that names the term.  Only this module reads
+once with a ``CapacityError`` that names the term; ``capped_order`` is
+that check, and ``verify`` calls it on a grid entry's factor orders
+before building anything.  Only this module reads
 the cap, so the CLI, ``verify`` and library callers all meet the same one:
 ZDK_ORDER_CAP (an integer >= 2) when set, else DEFAULT_ORDER_CAP (4096).
 """
@@ -78,7 +80,7 @@ def _read_cap() -> int:
     return cap
 
 
-def _capped_order(sizes: Iterable[int], what: str) -> int:
+def capped_order(sizes: Iterable[int], what: str) -> int:
     """The product of ``sizes`` (each >= 2), raising once it passes the cap."""
     cap = _read_cap()
     order = 1
@@ -126,7 +128,7 @@ def make_zn(n: int) -> FiniteRing:
     """Residue ring Z_n on ids 0..n-1."""
     if n < 2:
         raise ValueError(f"Z_n needs n >= 2, got {n}")
-    _capped_order((n,), f"Z{n}")
+    capped_order((n,), f"Z{n}")
     pe = prime_power(n)
     return FiniteRing(
         n,
@@ -215,7 +217,7 @@ def make_gf(p: int, k: int = 1) -> FiniteRing:
         raise ValueError(f"GF needs a prime characteristic, got {p}")
     if k < 1:
         raise ValueError(f"GF needs extension degree >= 1, got {k}")
-    q = _capped_order(repeat(p, k), f"GF({p}, {k})")
+    q = capped_order(repeat(p, k), f"GF({p}, {k})")
     if k == 1:
         return replace(make_zn(p), label=f"GF({p})")
 
@@ -271,7 +273,7 @@ def make_product(factors: Sequence[FiniteRing]) -> FiniteRing:
 
     label = " x ".join(factor_label(f) for f in factors)
     orders = tuple(f.order for f in factors)
-    order = _capped_order(orders, label)
+    order = capped_order(orders, label)
 
     def split(a: int) -> list[int]:
         comps = []
@@ -323,7 +325,7 @@ def make_idealization(base: FiniteRing, rank: int = 1) -> FiniteRing:
         raise ValueError(f"idealization rank must be >= 1, got {rank}")
     o = base.order
     label = f"Id({base.label}, {rank})"
-    order = _capped_order(repeat(o, rank + 1), label)
+    order = capped_order(repeat(o, rank + 1), label)
 
     def split(x: int) -> tuple[int, list[int]]:
         a = x % o

@@ -52,11 +52,14 @@ touch the interpreter's recursion limit.  A partial set is pruned when
   itself and is independent); demands taken largest first whose option
   sets are pairwise disjoint need separate picks.
 
-A node is one partial count vector taken off the stack; ``nodes`` and the
-node budget count them.  Every node meets these rules, leaves too: with
-no picks left a node passes them exactly when it is a global defensive
-k-alliance, since any r_x > 0 exceeds the budget and an undominated class
-leaves a vertex that the forced picks or the greedy bound cannot cover.
+A node is one partial count vector and one stack entry, its parent's
+state plus the count c it takes, made when it pops, after it pushes back
+its next sibling c - 1; so the stack holds one entry per decided class
+plus one, and ``nodes`` and the node budget count all of its work.  Every
+node meets these rules, leaves too: with no picks left a node passes them
+exactly when it is a global defensive k-alliance, since any r_x > 0
+exceeds the budget and an undominated class leaves a vertex that the
+forced picks or the greedy bound cannot cover.
 
 A failed round also says which later rounds would fail, as in the
 threshold rule of IDA* (Korf, "Depth-first iterative-deepening: an
@@ -507,12 +510,13 @@ class _Search:
 
     def run(self, s: int) -> tuple[Optional[int], int]:
         """Depth-first search for a cardinality-s set on an explicit stack of
-        (position, chosen vertices, chosen classes, covered classes, count,
-        open symmetry comparisons) entries; every popped node meets the
-        symmetry rule and ``_pruned``, and one that passes with no picks
-        left is the witness.  The children of a class take
-        c = min(n, b), ..., 0 of its n members and are pushed smallest
-        first, so the largest count is explored first.
+        nodes (position, chosen vertices, chosen classes, covered classes,
+        count, open symmetry comparisons, c): the parent's state plus c
+        members of class order[position - 1].  Popping one with c > 0 first
+        pushes back its next sibling, c - 1, so the children c = min(n, b),
+        ..., 0 of a class pop largest first.  Every node meets the symmetry
+        rule and ``_pruned``; one that passes with no picks left is the
+        witness, and any other pushes its first child.
 
         Returns (witness, s) when a set is found, else (None, s') where s'
         is the least cardinality above s that the round's frontier leaves
@@ -525,9 +529,16 @@ class _Search:
         order, size = self.order, t.size
         classes, members, nb = t.classes, t.members, t.nb
         nxt = _NEVER
-        stack = [(0, 0, 0, 0, 0, t.symmetries)]
+        stack = [(0, 0, 0, 0, 0, t.symmetries, 0)]
         while stack:
-            pos, s_mask, chosen, ccov, count, cmp = stack.pop()
+            pos, s_mask, chosen, ccov, count, cmp, c = stack.pop()
+            if c:
+                stack.append((pos, s_mask, chosen, ccov, count, cmp, c - 1))
+                i = order[pos - 1]
+                s_mask |= classes[i] & ((2 << members[i][c - 1]) - 1)
+                chosen |= 1 << i
+                ccov |= nb[i] if c < size[i] else nb[i] | 1 << i
+                count += c
             self._tick()
             # compare once the earliest open step, by rank, is decided
             if cmp and not cmp[0][1] & self.rem[pos]:
@@ -542,24 +553,10 @@ class _Search:
                 continue
             if b == 0:
                 return s_mask, s
-            i = order[pos]
-            n = size[i]
-            if n > b:
-                # the children c = b + 1 .. n first appear at s + 1
-                nxt = s + 1
-            stack.append((pos + 1, s_mask, chosen, ccov, count, cmp))
-            cls_members = members[i]
-            cls = classes[i]
-            bit = 1 << i
-            child_ccov = ccov | nb[i]
-            for c in range(1, (n if n < b else b) + 1):
-                if c == n:
-                    take = cls
-                    child_ccov |= bit
-                else:
-                    take = cls & ((2 << cls_members[c - 1]) - 1)
-                stack.append((pos + 1, s_mask | take, chosen | bit,
-                              child_ccov, count + c, cmp))
+            n = size[order[pos]]
+            if n > b:  # the children c = b + 1 .. n first appear at s + 1
+                nxt, n = s + 1, b
+            stack.append((pos + 1, s_mask, chosen, ccov, count, cmp, n))
         return None, nxt
 
     def _compare(self, cmp: tuple, rem: int, s_mask: int

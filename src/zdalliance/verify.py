@@ -36,14 +36,15 @@ import io
 import json
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, Sequence, Union
+from itertools import repeat
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from . import formulas
-from .expressions import (GF, ExprError, Idealization, RingExpr, Zn,
-                          build_ring, parse_ring_expr)
+from .expressions import (GF, ExprError, Idealization, Product, RingExpr,
+                          Zn, build_ring, parse_ring_expr)
 from .graphs import ZdGraph, bits, build_graph
-from .rings import (CapacityError, FiniteRing, is_prime, local_structure,
-                    prime_power, zero_divisors)
+from .rings import (CapacityError, FiniteRing, capped_order, is_prime,
+                    local_structure, prime_power, zero_divisors)
 from .solver import AllianceSolution, BudgetExceeded, oracle_spectrum, spectrum
 # perfbench --trace 1 wraps these two by name
 from .solver import oracle_solve, solve  # noqa: F401
@@ -380,8 +381,10 @@ def _ring_text(entry: str) -> str:
 def _grid_tasks(default: Sequence, parse: Callable, make: Callable,
                 cfg: SuiteConfig) -> list[RingTask]:
     """``make`` of the ``default`` values, or of ``parse`` of each entry of
-    ``cfg.grid``, each checked by its formula before any ring is built.  A
-    ValueError names its entry; an expression error points into it."""
+    ``cfg.grid``, each checked by its formula and against the order cap
+    before any ring is built.  A ValueError or CapacityError names its
+    entry; an expression error points into it, and an invalid cap setting
+    reports as it does for any ring."""
     if cfg.grid is None:
         return [make(value) for value in default]
     entries = [s.strip() for s in cfg.grid.split(";") if s.strip()]
@@ -390,14 +393,36 @@ def _grid_tasks(default: Sequence, parse: Callable, make: Callable,
     tasks = []
     for entry in entries:
         try:
-            tasks.append(make(parse(entry)))
-            if tasks[-1].predict:  # the family's own parameter check
-                tasks[-1].predict(0)
+            task = make(parse(entry))
+            if task.predict:  # the family's own parameter check
+                task.predict(0)
         except ExprError:
             raise
         except ValueError as exc:
             raise ValueError(f"grid entry {entry!r}: {exc}") from None
+        try:
+            capped_order(_term_orders(parse_ring_expr(task.expr)), task.expr)
+        except CapacityError as exc:
+            raise CapacityError(f"grid entry {entry!r}: {exc}") from None
+        tasks.append(task)
     return tasks
+
+
+def _term_orders(expr: RingExpr) -> Iterator[int]:
+    """Factors of the order of the ring the expression names, each at
+    least 2, lazily, so that a cap check stops at the first partial product
+    above the cap: n for Z_n, p k times for GF(p, k), each factor's for a
+    product, and |R| r + 1 times for Id(R, r)."""
+    if isinstance(expr, Zn):
+        yield expr.n
+    elif isinstance(expr, GF):
+        yield from repeat(expr.p, expr.k)
+    elif isinstance(expr, Product):
+        for factor in expr.factors:
+            yield from _term_orders(factor)
+    else:
+        for _ in range(expr.rank + 1):
+            yield from _term_orders(expr.base)
 
 
 def _pinned(values: dict[int, int], k: int) -> formulas.Prediction:

@@ -138,7 +138,9 @@ def test_verify_grid_parse_error_points_into_grid_entry(capsys):
     (["verify", "tables"], "1",
      "ZDK_ORDER_CAP: expected an integer of at least 2, got '1'"),
     (["verify", "zpn", "--grid", "2,4"], "10",
-     "Z16 exceeds the order cap 10"),
+     "grid entry '2,4': Z16 exceeds the order cap 10"),
+    (["verify", "zpn", "--grid", "2,4"], "abc",
+     "ZDK_ORDER_CAP: expected an integer, got 'abc'"),
     (["verify", "idealizations", "--grid", "4,1"], None,
      "grid entry '4,1': 4 is not prime"),
     (["solve", "Z12", "-k", "0", "--budget", "-3"], None,
@@ -184,6 +186,7 @@ def test_verify_grid_parse_error_points_into_grid_entry(capsys):
 ], ids=["pair-grid-one-value", "pair-grid-three-values", "int-grid",
         "node-budget-not-integer", "time-budget-not-number", "order-cap-env",
         "order-cap-env-negative", "order-cap-env-one", "order-cap-verify",
+        "order-cap-env-grid",
         "idealization-grid-not-prime", "solve-budget", "spectrum-budget",
         "node-budget-flag", "node-budget-flag-negative", "time-budget-flag",
         "time-budget-flag-negative", "time-budget-nan", "zpn-grid-not-prime", "zpn-grid-second-entry",
@@ -253,6 +256,27 @@ def test_non_local_grid_entry_builds_no_ring(capsys, monkeypatch, grid,
     assert code == 1
     assert err == (f"error: grid entry {entry!r}: {entry} is not a local "
                    "non-field ring\n")
+
+
+@pytest.mark.parametrize("suite, grid, ring", [
+    ("z2local", "Z9; Z4096", "Z2 x Z4096"), ("zpn", "3,2; 2,13", "Z8192"),
+    ("idealizations", "2,1; 2,12", "Id(Z2, 12)"),
+    ("known_graphs", "Z6; Z2 x Z4096", "Z2 x Z4096")])
+def test_grid_entry_above_the_cap_builds_no_ring(capsys, monkeypatch, suite,
+                                                 grid, ring):
+    # the order is read off the entry's expression, so an entry above the
+    # cap is refused before the rings ahead of it in the grid are built
+    import zdalliance.verify as V
+
+    def no_build(expr):
+        raise AssertionError(f"built {expr}")
+
+    monkeypatch.setattr(V, "build_ring", no_build)
+    code, _, err = run(capsys, "verify", suite, "--grid", grid)
+    assert code == 1
+    entry = grid.split(";")[-1].strip()
+    assert err == (f"error: grid entry {entry!r}: {ring} exceeds the order "
+                   "cap 4096\n")
 
 
 def test_semantic_error_exit_1(capsys):

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -461,6 +462,42 @@ def test_witness_takes_the_first_members_of_each_class():
         taken = sol.witness & cls
         members = list(bits(cls))
         assert taken == sum(1 << v for v in members[:taken.bit_count()])
+
+
+# spectrum node totals on rings with wide twin classes (Z4096's class of
+# valuation 1 has 1,024 members); a change that lowers them updates them
+WIDE_CLASS_NODES = {"Z1024": 4_889, "Z2 x Z512": 74_761, "Z4096": 23_583}
+
+
+@pytest.mark.parametrize("expr", sorted(WIDE_CLASS_NODES))
+def test_wide_class_spectrum_nodes(expr):
+    g = G(expr)
+    got = spectrum(g)
+    assert sum(sol.nodes for sol in got.values()) == WIDE_CLASS_NODES[expr]
+    classes = solver._ClassTables(g).classes
+    for k in (-g.max_degree, -1, 0, 1, g.min_degree):
+        witness = got[k].witness
+        assert g.is_global_defensive_alliance(witness, k), k
+        for cls in classes:
+            taken = witness & cls
+            members = list(bits(cls))
+            assert taken == sum(1 << v for v in members[:taken.bit_count()])
+
+
+def test_round_memory_does_not_grow_with_class_size():
+    # the stack holds one entry per decided class, each made when it pops;
+    # pushing all 1,024 children of Z4096's widest class at once held
+    # about 370 KB of entries at k = 0
+    tables = solver._ClassTables(G("Z4096"))
+    search = solver._Search(tables, 0, tables.all_classes, None, None)
+    tracemalloc.start()
+    try:
+        sol = solver._solve_with_gamma(search, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.size == 1024
+    assert peak < 64 * 1024
 
 
 def test_z210_within_the_ladder_budget():
