@@ -11,7 +11,9 @@ Grammar (whitespace insignificant between tokens)::
 
 Syntax errors carry the byte offset of the offending character; semantic
 errors (composite GF characteristic, Z_1, ...) carry the offset of the
-term they invalidate.
+term they invalidate.  A GF term whose number is above the order cap
+raises the ``CapacityError`` of :mod:`zdalliance.rings` before that
+number is factored, so a huge one fails at once.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .rings import (FiniteRing, is_prime, make_gf, make_idealization,
-                    make_product, make_zn, prime_power)
+from .rings import (FiniteRing, capped_order, is_prime, make_gf,
+                    make_idealization, make_product, make_zn, prime_power)
 
 
 class ExprError(ValueError):
@@ -119,6 +121,7 @@ class _Parser:
                 self.pos += 1
                 second, soff = self.digits()
                 self.expect(")")
+                capped_order((first,), f"GF({first}, {second})")
                 if not is_prime(first):
                     raise ExprSemanticError(
                         f"GF characteristic {first} is not prime", foff, self.text)
@@ -127,6 +130,7 @@ class _Parser:
                         f"GF degree must be >= 1, got {second}", soff, self.text)
                 return GF(first, second)
             self.expect(")")
+            capped_order((first,), f"GF({first})")
             pk = prime_power(first)
             if pk is None:
                 raise ExprSemanticError(

@@ -45,8 +45,9 @@ the same element encoding, which downstream layers rely on for stable
 vertex orders and reports.  All constructors enforce one order cap and
 check it before an order is built, so a term far above the cap fails at
 once with a ``CapacityError`` that names the term; ``capped_order`` is
-that check, and ``verify`` calls it on a grid entry's factor orders
-before building anything.  Only this module reads
+that check, and ``expressions`` and ``verify`` call it before they factor
+a number of an entry or raise one to a power, so that no number above
+the cap reaches trial division.  Only this module reads
 the cap, so the CLI, ``verify`` and library callers all meet the same one:
 ZDK_ORDER_CAP (an integer >= 2) when set, else DEFAULT_ORDER_CAP (4096).
 """
@@ -66,7 +67,7 @@ class CapacityError(ValueError):
     """A construction or operation exceeds its configured size cap."""
 
 
-def _read_cap() -> int:
+def order_cap() -> int:
     """ZDK_ORDER_CAP when set and non-empty, else DEFAULT_ORDER_CAP."""
     raw = os.environ.get("ZDK_ORDER_CAP") or str(DEFAULT_ORDER_CAP)
     try:
@@ -82,7 +83,7 @@ def _read_cap() -> int:
 
 def capped_order(sizes: Iterable[int], what: str) -> int:
     """The product of ``sizes`` (each >= 2), raising once it passes the cap."""
-    cap = _read_cap()
+    cap = order_cap()
     order = 1
     for size in sizes:
         order *= size

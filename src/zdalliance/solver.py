@@ -138,13 +138,28 @@ The k-independent class tables, symmetries included, are built once per
 adds its needs, its core and, when that dominates, the core's class order
 and its suffixes.
 
-``spectrum`` is the one entry point for many values of k.  It uses the
+``spectrum`` and ``solve`` are one pass that walks k upward over a range,
+[-max_degree, max_degree] or [k, k], like the oracle's.  It uses the
 exact monotonicity of the problem: a global defensive (k+1)-alliance is
-also a global defensive k-alliance, so γ_k ≤ γ_{k+1}.  It walks k upward
-and starts each k's rounds at max(analytic lower bound, γ_{k-1}).  The
-cores nest too: the (k+1)-core is a defensive k-alliance, so it lies in
-the k-core, and a fixpoint started from any set that holds it never drops
-its members; so each k's fixpoint starts from the classes left at k - 1.
+also a global defensive k-alliance, so γ_k ≤ γ_{k+1}.  Each k it sets up
+starts its rounds at max(analytic lower bound, γ_{k-1}).  The cores nest
+too: the (k+1)-core is a defensive k-alliance, so it lies in the k-core,
+and a fixpoint started from any set that holds it never drops its
+members; so each k's fixpoint starts from the classes left at the last
+k set up.
+
+A witness S found at k is a global defensive k'-alliance for every k' up
+to its slack σ(S), the least 2·deg_S(x) - deg(x) over its members, one
+popcount per class it meets, as its representative is a member.  So
+γ_{k'} = |S| for k < k' ≤ σ(S), and S is also the witness a search at k'
+would return.  Without the symmetry rule, that search's first solution
+is the greatest alliance count vector of size |S| at k'; every
+k'-alliance is a k-alliance, and S's vector, the greatest at k, is one,
+so it is the greatest at k' as well, and the symmetry rule keeps it, as
+above (when S is the k-core, the only k-alliance of its size, it is the
+k'-core too, which the search at k' returns without a round).  The pass answers those k' with S and 0 nodes
+and sets up no ``_Search`` for them.  Once a k is infeasible, every
+higher k is too, and takes the same verdict with no setup.
 
 ``oracle_spectrum`` is the independent cross-check: one enumeration of
 all subsets, s = 1..n, each s in ``itertools.combinations`` order, on
@@ -218,8 +233,9 @@ class AllianceSolution:
     """Verdict for one (graph, k) instance.
 
     ``witness`` is a vertex bitset (None when infeasible); ``nodes`` counts
-    search-tree nodes (for the oracle, the subsets a plain enumeration
-    examines up to the witness, or all of them).
+    search-tree nodes, 0 for a k that ``spectrum`` answers from a lower
+    k's witness or verdict (for the oracle, the subsets a plain
+    enumeration examines up to the witness, or all of them).
     """
     feasible: bool
     size: Optional[int]
@@ -741,9 +757,40 @@ def solve(problem: AllianceProblem, *, node_budget: Optional[int] = None,
     is certain.
     """
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    tables = _ClassTables(problem.graph)
-    return _solve_with_gamma(_Search(tables, problem.k, tables.all_classes,
-                                     node_budget, deadline), 1)
+    k = problem.k
+    return _search_pass(_ClassTables(problem.graph), k, k, node_budget,
+                        deadline)[k]
+
+
+def _search_pass(tables, lo: int, hi: int, node_budget: Optional[int],
+                 deadline: Optional[float]) -> dict[int, AllianceSolution]:
+    """One walk of k upward over [lo, hi] on the class tables: each k it
+    sets up starts its core fixpoint from the classes the last setup left
+    and its rounds at the answer for k - 1.  A witness answers every k up
+    to its slack with 0 nodes, and an infeasible k answers every k above
+    it; no ``_Search`` is built for either (see the module docstring)."""
+    out: dict[int, AllianceSolution] = {}
+    floor, alive, k = 1, tables.all_classes, lo
+    while k <= hi:
+        search = _Search(tables, k, alive, node_budget, deadline)
+        sol = out[k] = _solve_with_gamma(search, floor)
+        if not sol.feasible:
+            out.update(dict.fromkeys(range(k + 1, hi + 1), sol))
+            break
+        floor, alive = sol.size, search.alive
+        start = time.perf_counter()
+        # the witness holds each class it meets by its first members, the
+        # representative among them, so one popcount per class gives σ
+        witness = sol.witness
+        slack = min(2 * (tables.rep_adj[i] & witness).bit_count()
+                    - tables.degree[i]
+                    for i, cls in enumerate(tables.classes) if cls & witness)
+        slack = min(slack, hi)
+        same = AllianceSolution(True, sol.size, witness, 0,
+                                time.perf_counter() - start)
+        out.update(dict.fromkeys(range(k + 1, slack + 1), same))
+        k = slack + 1
+    return out
 
 
 def _rank(m: int, n: int) -> int:
@@ -897,18 +944,11 @@ def spectrum(graph: ZdGraph, *, node_budget: Optional[int] = None,
     Sizes are monotone nondecreasing in k over the feasible range, and the
     range of feasible k always reaches min_degree.  Each k's rounds start
     at the answer for k - 1, and an infeasible k is decided by its
-    alliance core without a search.  ``node_budget`` counts nodes per k;
+    alliance core without a search.  A witness also answers every higher
+    k up to its slack, and an infeasible k every higher k, each with 0
+    nodes and no search.  ``node_budget`` counts nodes per searched k;
     ``time_budget`` covers the whole spectrum.
     """
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    tables = _ClassTables(graph)
-    out: dict[int, AllianceSolution] = {}
-    floor = 1
-    # the (k+1)-core lies inside the k-core: start each fixpoint there
-    alive = tables.all_classes
-    for k in range(-graph.max_degree, graph.max_degree + 1):
-        search = _Search(tables, k, alive, node_budget, deadline)
-        out[k] = _solve_with_gamma(search, floor)
-        floor = out[k].size or floor
-        alive = search.alive
-    return out
+    return _search_pass(_ClassTables(graph), -graph.max_degree,
+                        graph.max_degree, node_budget, deadline)

@@ -44,7 +44,7 @@ from .expressions import (GF, ExprError, Idealization, Product, RingExpr,
                           Zn, build_ring, parse_ring_expr)
 from .graphs import ZdGraph, bits, build_graph
 from .rings import (CapacityError, FiniteRing, capped_order, is_prime,
-                    local_structure, prime_power, zero_divisors)
+                    local_structure, order_cap, prime_power, zero_divisors)
 from .solver import AllianceSolution, BudgetExceeded, oracle_spectrum, spectrum
 # perfbench --trace 1 wraps these two by name
 from .solver import oracle_solve, solve  # noqa: F401
@@ -136,7 +136,9 @@ KNOWN_GRAPH_CORPUS = (
 
 
 def field_expr(q: int) -> str:
-    """The expression of the field of order q; q must be a prime power."""
+    """The expression of the field of order q; q must be a prime power at
+    most the order cap."""
+    capped_order((q,), f"field order {q}")
     if prime_power(q) is None:
         raise ValueError(f"{q} is not a prime power")
     return f"Z{q}" if is_prime(q) else f"GF({q})"
@@ -366,9 +368,10 @@ def _integer(entry: str) -> int:
 
 
 def _ring_text(entry: str) -> str:
-    """The entry, once it parses to a ring that has a graph: Zp and GF
-    are the only fields an expression can name."""
+    """The entry, once it parses to a ring within the order cap that has a
+    graph: Zp and GF are the only fields an expression can name."""
     expr = parse_ring_expr(entry)
+    capped_order(_term_orders(expr), entry)
     if isinstance(expr, GF):
         field = f"GF({expr.p ** expr.k})"
     elif isinstance(expr, Zn) and is_prime(expr.n):
@@ -382,14 +385,16 @@ def _grid_tasks(default: Sequence, parse: Callable, make: Callable,
                 cfg: SuiteConfig) -> list[RingTask]:
     """``make`` of the ``default`` values, or of ``parse`` of each entry of
     ``cfg.grid``, each checked by its formula and against the order cap
-    before any ring is built.  A ValueError or CapacityError names its
-    entry; an expression error points into it, and an invalid cap setting
-    reports as it does for any ring."""
+    before any ring is built; ``make`` meets the cap before it factors a
+    number of the entry.  A ValueError or CapacityError names its entry;
+    an expression error points into it, and an invalid cap setting
+    reports as it does for any ring, before the first entry."""
     if cfg.grid is None:
         return [make(value) for value in default]
     entries = [s.strip() for s in cfg.grid.split(";") if s.strip()]
     if not entries:
         raise ValueError(f"grid {cfg.grid!r} has no entries")
+    order_cap()
     tasks = []
     for entry in entries:
         try:
@@ -398,6 +403,8 @@ def _grid_tasks(default: Sequence, parse: Callable, make: Callable,
                 task.predict(0)
         except ExprError:
             raise
+        except CapacityError as exc:
+            raise CapacityError(f"grid entry {entry!r}: {exc}") from None
         except ValueError as exc:
             raise ValueError(f"grid entry {entry!r}: {exc}") from None
         try:
@@ -441,6 +448,7 @@ def _build_tables(cfg: SuiteConfig) -> list[RingTask]:
 
 def _zpn(pn: tuple[int, int]) -> RingTask:
     p, n = pn
+    capped_order((p,), f"Z{p ** n}")  # p <= p^n, before predict factors p
     return RingTask("formula", f"Z{p ** n}", "zpn", f"p={p};n={n}",
                     partial(formulas.predict_prime_power, p, n))
 
@@ -485,7 +493,9 @@ def _local_shape(expr: RingExpr) -> Optional[tuple[int, int, int]]:
 
 
 def _z2local(base_expr: str) -> RingTask:
-    shape = _local_shape(parse_ring_expr(base_expr))
+    expr = parse_ring_expr(base_expr)
+    capped_order(_term_orders(expr), base_expr)
+    shape = _local_shape(expr)
     if shape is None or shape[1] < 2:
         raise ValueError(f"{base_expr} is not a local non-field ring")
     r, z, index = shape
@@ -497,6 +507,8 @@ def _z2local(base_expr: str) -> RingTask:
 
 def _idealization(pn: tuple[int, int]) -> RingTask:
     p, n = pn
+    if p > 1:  # the order p^(n+1), before p is factored or raised
+        capped_order(repeat(p, n + 1), f"Id(Z{p}, {n})")
     if not is_prime(p):  # the formula needs M^2 = 0, so Z_p a field
         raise ValueError(f"{p} is not prime")
     return RingTask("formula", f"Id(Z{p}, {n})", "idealization",

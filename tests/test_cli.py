@@ -183,6 +183,28 @@ def test_verify_grid_parse_error_points_into_grid_entry(capsys):
      "grid entry 'Z5': Z5 is a field: no nonzero zero-divisors"),
     (["verify", "bounds", "--grid", "Z9; GF(4)"], None,
      "grid entry 'GF(4)': GF(4) is a field: no nonzero zero-divisors"),
+    # numbers far above the cap are refused before they are factored or
+    # raised to a power
+    (["verify", "zpn", "--grid", "1000000000000000003,2"], None,
+     "grid entry '1000000000000000003,2': "
+     "Z1000000000000000006000000000000000009 exceeds the order cap 4096"),
+    (["verify", "known_graphs", "--grid", "Z1000000000000000003"], None,
+     "grid entry 'Z1000000000000000003': Z1000000000000000003 exceeds the "
+     "order cap 4096"),
+    (["ring-info", "GF(1000000000000000003, 2)"], None,
+     "GF(1000000000000000003, 2) exceeds the order cap 4096"),
+    (["verify", "known_graphs", "--grid", "GF(2,100000000)"], None,
+     "grid entry 'GF(2,100000000)': GF(2,100000000) exceeds the order cap "
+     "4096"),
+    (["verify", "fields", "--grid", "1000000000000000003,1000000000000000009"],
+     None, "grid entry '1000000000000000003,1000000000000000009': "
+     "field order 1000000000000000003 exceeds the order cap 4096"),
+    (["verify", "idealizations", "--grid", "1000000000000000003,1"], None,
+     "grid entry '1000000000000000003,1': Id(Z1000000000000000003, 1) "
+     "exceeds the order cap 4096"),
+    (["verify", "z2local", "--grid", "Id(Z4, 100000000000)"], None,
+     "grid entry 'Id(Z4, 100000000000)': Id(Z4, 100000000000) exceeds the "
+     "order cap 4096"),
 ], ids=["pair-grid-one-value", "pair-grid-three-values", "int-grid",
         "node-budget-not-integer", "time-budget-not-number", "order-cap-env",
         "order-cap-env-negative", "order-cap-env-one", "order-cap-verify",
@@ -194,7 +216,10 @@ def test_verify_grid_parse_error_points_into_grid_entry(capsys):
         "fields-grid-order", "z2z2F-grid-one", "z2FK-grid-small-field",
         "z2local-grid-not-local", "grid-no-entries", "grid-empty",
         "tables-grid", "format-without-out", "known-graphs-grid-field",
-        "bounds-grid-field"])
+        "bounds-grid-field", "zpn-grid-huge-prime", "known-graphs-grid-huge-zn",
+        "ring-info-huge-gf", "known-graphs-grid-huge-gf-degree",
+        "fields-grid-huge", "idealization-grid-huge-prime",
+        "z2local-grid-huge-rank"])
 def test_malformed_run_parameter_names_its_source(
         capsys, monkeypatch, argv, order_cap, message):
     if order_cap is not None:

@@ -466,7 +466,7 @@ def test_witness_takes_the_first_members_of_each_class():
 
 # spectrum node totals on rings with wide twin classes (Z4096's class of
 # valuation 1 has 1,024 members); a change that lowers them updates them
-WIDE_CLASS_NODES = {"Z1024": 4_889, "Z2 x Z512": 74_761, "Z4096": 23_583}
+WIDE_CLASS_NODES = {"Z1024": 2_833, "Z2 x Z512": 61_098, "Z4096": 13_333}
 
 
 @pytest.mark.parametrize("expr", sorted(WIDE_CLASS_NODES))
@@ -508,12 +508,12 @@ def test_z210_within_the_ladder_budget():
         assert g.is_global_defensive_alliance(sol.witness, k), k
 
 
-# spectrum nodes per ring of the perfbench spectrum workload; 13,792 in
-# all without the lex-leader rule (Z2^5 alone 11,021, Z2 x Z4 x Z4 1,759)
-# and 244,622 by the vertex search
-SPECTRUM_WORKLOAD_NODES = {"Z64": 189, "Z2 x Z27": 296,
-                           "Z2 x Z2 x Z2 x Z2 x Z2": 1793,
-                           "Z2 x Z4 x Z4": 1154, "Z60": 527}
+# spectrum nodes per ring of the perfbench spectrum workload; 3,959 in
+# all when every k was searched, 13,792 without the lex-leader rule
+# (Z2^5 alone 11,021, Z2 x Z4 x Z4 1,759) and 244,622 by the vertex search
+SPECTRUM_WORKLOAD_NODES = {"Z64": 121, "Z2 x Z27": 186,
+                           "Z2 x Z2 x Z2 x Z2 x Z2": 1558,
+                           "Z2 x Z4 x Z4": 1126, "Z60": 408}
 
 
 def test_spectrum_workload_node_total():
@@ -523,7 +523,7 @@ def test_spectrum_workload_node_total():
         nodes = sum(sol.nodes for sol in spectrum(G(expr)).values())
         assert nodes <= most, expr
         total += nodes
-    assert total <= 4_500
+    assert total <= 3_399
 
 
 # -- a failed round skips the cardinalities its frontier rules out --------
@@ -570,6 +570,80 @@ def test_spectrum_is_solve_at_every_k(expr):
         want = solve(AllianceProblem(g, k))
         assert (got.feasible, got.size, got.witness) == \
             (want.feasible, want.size, want.witness), k
+
+
+def _slack(g, witness):
+    """min over x in the witness of 2·deg_S(x) - deg(x), vertex by vertex."""
+    return min(2 * (g.adj[x] & witness).bit_count() - g.degree[x]
+               for x in bits(witness))
+
+
+def _spectrum_and_setups(g, **budgets):
+    """spectrum(g) and the k of each ``_Search`` it builds, in order."""
+    built = []
+
+    class Counted(solver._Search):
+        def __init__(self, tables, k, *rest):
+            built.append(k)
+            super().__init__(tables, k, *rest)
+
+    plain = solver._Search
+    solver._Search = Counted
+    try:
+        return spectrum(g, **budgets), built
+    finally:
+        solver._Search = plain
+
+
+def _assert_one_k_walk(g, expr, **budgets):
+    # a k gets a setup exactly when the k below it was feasible with a
+    # witness whose slack stops short of k; every other k takes the
+    # answer below it with 0 nodes
+    got, built = _spectrum_and_setups(g, **budgets)
+    lo = -g.max_degree
+    assert built == [lo] + [
+        k for k in range(lo + 1, g.max_degree + 1)
+        if got[k - 1].feasible and _slack(g, got[k - 1].witness) < k], expr
+    for k, sol in got.items():
+        if k not in built:
+            assert (sol.feasible, sol.size, sol.witness, sol.nodes) == \
+                (got[k - 1].feasible, got[k - 1].size, got[k - 1].witness,
+                 0), (expr, k)
+        if sol.feasible and sol.nodes == 0:
+            assert g.is_global_defensive_alliance(sol.witness, k), (expr, k)
+
+
+@pytest.mark.parametrize("expr", sorted(set(KNOWN_GRAPH_CORPUS)))
+def test_spectrum_sets_up_no_k_its_last_witness_or_verdict_answers(expr):
+    _assert_one_k_walk(G(expr), expr)
+
+
+@given(ring_exprs())
+@settings(max_examples=60, deadline=None)
+def test_spectrum_sets_up_no_k_answered_below_on_ring_exprs(expr):
+    g = _graph_or_reject(expr, 40)
+    try:
+        _assert_one_k_walk(g, expr, node_budget=REFERENCE_NODE_BUDGET)
+    except BudgetExceeded:
+        assume(False)
+
+
+@pytest.mark.parametrize("budget", (1, 5, 50))
+@pytest.mark.parametrize("expr",
+                         sorted(set(KNOWN_GRAPH_CORPUS) | set(SPECTRUM_RINGS)))
+def test_spectrum_budget_meets_only_the_searched_ks(expr, budget):
+    # a k answered by a lower k's witness or verdict takes 0 nodes, so
+    # the budget runs out exactly when some searched k needs more
+    g = G(expr)
+    free = spectrum(g)
+    if max(sol.nodes for sol in free.values()) > budget:
+        with pytest.raises(BudgetExceeded):
+            spectrum(g, node_budget=budget)
+        return
+    got = spectrum(g, node_budget=budget)
+    assert {k: (s.feasible, s.size, s.witness, s.nodes)
+            for k, s in got.items()} == \
+        {k: (s.feasible, s.size, s.witness, s.nodes) for k, s in free.items()}
 
 
 @pytest.mark.parametrize("expr",
