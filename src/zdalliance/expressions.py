@@ -11,15 +11,17 @@ Grammar (whitespace insignificant between tokens)::
 
 Syntax errors carry the byte offset of the offending character; semantic
 errors (composite GF characteristic, Z_1, ...) carry the offset of the
-term they invalidate.  A GF term whose number is above the order cap
-raises the ``CapacityError`` of :mod:`zdalliance.rings` before that
-number is factored, so a huge one fails at once.
+term they invalidate.  Every term, product and idealization meets the
+order cap of :mod:`zdalliance.rings` as it is parsed and is named by its
+source text in the ``CapacityError``: p^k before a GF number is factored,
+and |R|^(r+1) factor by factor, so a huge one fails at once and a parsed
+expression always names a ring within the cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .rings import (FiniteRing, capped_order, is_prime, make_gf,
                     make_idealization, make_product, make_zn, prime_power)
@@ -98,7 +100,14 @@ class _Parser:
             raise self.error("expected digits")
         return int(self.text[start:self.pos]), start
 
-    def parse_expr(self) -> RingExpr:
+    def capped(self, sizes: Iterable[int], start: int) -> int:
+        """The order of the term read from ``start``, the product of
+        ``sizes``, refused by its text once it passes the order cap."""
+        return capped_order(sizes, self.text[start:self.pos].strip())
+
+    def parse_expr(self) -> tuple[RingExpr, int]:
+        """The next expression and its order."""
+        start = self.pos
         terms = [self.parse_term()]
         while True:
             self.skip_ws()
@@ -107,9 +116,13 @@ class _Parser:
                 terms.append(self.parse_term())
             else:
                 break
-        return terms[0] if len(terms) == 1 else Product(tuple(terms))
+        if len(terms) == 1:
+            return terms[0]
+        factors, orders = zip(*terms)
+        return Product(factors), self.capped(orders, start)
 
-    def parse_term(self) -> RingExpr:
+    def parse_term(self) -> tuple[RingExpr, int]:
+        """The next term and its order."""
         self.skip_ws()
         start = self.pos
         if self.text.startswith("GF", self.pos):
@@ -121,38 +134,40 @@ class _Parser:
                 self.pos += 1
                 second, soff = self.digits()
                 self.expect(")")
-                capped_order((first,), f"GF({first}, {second})")
+                if first > 1:  # p^k, before p is factored
+                    self.capped((first for _ in range(second)), start)
                 if not is_prime(first):
                     raise ExprSemanticError(
                         f"GF characteristic {first} is not prime", foff, self.text)
                 if second < 1:
                     raise ExprSemanticError(
                         f"GF degree must be >= 1, got {second}", soff, self.text)
-                return GF(first, second)
+                return GF(first, second), first ** second
             self.expect(")")
-            capped_order((first,), f"GF({first})")
+            self.capped((first,), start)
             pk = prime_power(first)
             if pk is None:
                 raise ExprSemanticError(
                     f"GF order {first} is not a prime power", foff, self.text)
-            return GF(*pk)
+            return GF(*pk), first
         if self.text.startswith("Id", self.pos):
             self.pos += 2
             self.expect("(")
-            base = self.parse_expr()
+            base, order = self.parse_expr()
             self.expect(",")
             rank, roff = self.digits()
             self.expect(")")
             if rank < 1:
                 raise ExprSemanticError(
                     f"idealization rank must be >= 1, got {rank}", roff, self.text)
-            return Idealization(base, rank)
+            return (Idealization(base, rank),
+                    self.capped((order for _ in range(rank + 1)), start))
         if self.peek() == "Z":
             self.pos += 1
             n, noff = self.digits()
             if n < 2:
                 raise ExprSemanticError(f"Z_n needs n >= 2, got {n}", noff, self.text)
-            return Zn(n)
+            return Zn(n), self.capped((n,), start)
         if self.peek() == "(":
             self.pos += 1
             inner = self.parse_expr()
@@ -162,9 +177,10 @@ class _Parser:
 
 
 def parse_ring_expr(text: str) -> RingExpr:
-    """Parse ``text`` into a ring expression AST."""
+    """Parse ``text`` into a ring expression AST of a ring within the
+    order cap."""
     parser = _Parser(text)
-    expr = parser.parse_expr()
+    expr, _ = parser.parse_expr()
     parser.skip_ws()
     if parser.pos != len(text):
         raise parser.error("unexpected trailing input")

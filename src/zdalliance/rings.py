@@ -45,11 +45,9 @@ the same element encoding, which downstream layers rely on for stable
 vertex orders and reports.  All constructors enforce one order cap and
 check it before an order is built, so a term far above the cap fails at
 once with a ``CapacityError`` that names the term; ``capped_order`` is
-that check, and ``expressions`` and ``verify`` call it before they factor
-a number of an entry or raise one to a power, so that no number above
-the cap reaches trial division.  Only this module reads
-the cap, so the CLI, ``verify`` and library callers all meet the same one:
-ZDK_ORDER_CAP (an integer >= 2) when set, else DEFAULT_ORDER_CAP (4096).
+that check.  Only this module reads the cap, so the CLI, ``verify`` and
+library callers all meet the same one: ZDK_ORDER_CAP (an integer >= 2)
+when set, else DEFAULT_ORDER_CAP (4096).
 """
 
 from __future__ import annotations
@@ -82,7 +80,7 @@ def order_cap() -> int:
 
 
 def capped_order(sizes: Iterable[int], what: str) -> int:
-    """The product of ``sizes`` (each >= 2), raising once it passes the cap."""
+    """The product of ``sizes`` (each >= 0), raising once it passes the cap."""
     cap = order_cap()
     order = 1
     for size in sizes:

@@ -37,11 +37,11 @@ import json
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from . import formulas
-from .expressions import (GF, ExprError, Idealization, Product, RingExpr,
-                          Zn, build_ring, parse_ring_expr)
+from .expressions import (GF, ExprError, Idealization, RingExpr, Zn,
+                          build_ring, parse_ring_expr)
 from .graphs import ZdGraph, bits, build_graph
 from .rings import (CapacityError, FiniteRing, capped_order, is_prime,
                     local_structure, order_cap, prime_power, zero_divisors)
@@ -138,7 +138,6 @@ KNOWN_GRAPH_CORPUS = (
 def field_expr(q: int) -> str:
     """The expression of the field of order q; q must be a prime power at
     most the order cap."""
-    capped_order((q,), f"field order {q}")
     if prime_power(q) is None:
         raise ValueError(f"{q} is not a prime power")
     return f"Z{q}" if is_prime(q) else f"GF({q})"
@@ -354,41 +353,47 @@ def _run_task(cfg: SuiteConfig, task: RingTask) -> list[VerificationRecord]:
 
 def _pair(entry: str) -> tuple[int, int]:
     try:
-        a, b = (int(v) for v in entry.split(","))
+        a, b = map(_integer, entry.split(","))
+    except CapacityError:
+        raise
     except ValueError:
         raise ValueError("expected two integers 'a,b'") from None
     return a, b
 
 
 def _integer(entry: str) -> int:
+    """The entry's integer, refused when its absolute value is above the
+    order cap: no valid entry holds a number larger than its ring's
+    order, so none above the cap is factored or raised to a power."""
     try:
-        return int(entry)
+        value = int(entry)
     except ValueError:
         raise ValueError("expected an integer") from None
+    capped_order((abs(value),), str(value))
+    return value
 
 
 def _ring_text(entry: str) -> str:
-    """The entry, once it parses to a ring within the order cap that has a
-    graph: Zp and GF are the only fields an expression can name."""
+    """The entry, once it parses (within the order cap) to a ring that has
+    a graph: a local ring whose maximal ideal is zero is a field."""
     expr = parse_ring_expr(entry)
-    capped_order(_term_orders(expr), entry)
-    if isinstance(expr, GF):
-        field = f"GF({expr.p ** expr.k})"
-    elif isinstance(expr, Zn) and is_prime(expr.n):
-        field = f"Z{expr.n}"
-    else:
+    shape = _local_shape(expr)
+    if shape is None or shape[1] > 1:
         return entry
+    field = f"Z{shape[0]}" if isinstance(expr, Zn) else f"GF({shape[0]})"
     raise ValueError(f"{field} is a field: no nonzero zero-divisors")
 
 
 def _grid_tasks(default: Sequence, parse: Callable, make: Callable,
                 cfg: SuiteConfig) -> list[RingTask]:
     """``make`` of the ``default`` values, or of ``parse`` of each entry of
-    ``cfg.grid``, each checked by its formula and against the order cap
-    before any ring is built; ``make`` meets the cap before it factors a
-    number of the entry.  A ValueError or CapacityError names its entry;
-    an expression error points into it, and an invalid cap setting
-    reports as it does for any ring, before the first entry."""
+    ``cfg.grid``, each checked by its formula and, by parsing its ring's
+    expression, against the order cap before any ring is built.  The cap
+    is met where an entry's input enters: ``_integer`` refuses a grid
+    integer above it, and the parser a ring expression.  A ValueError or
+    CapacityError names its entry; an expression error points into it,
+    and an invalid cap setting reports as it does for any ring, before
+    the first entry."""
     if cfg.grid is None:
         return [make(value) for value in default]
     entries = [s.strip() for s in cfg.grid.split(";") if s.strip()]
@@ -401,35 +406,15 @@ def _grid_tasks(default: Sequence, parse: Callable, make: Callable,
             task = make(parse(entry))
             if task.predict:  # the family's own parameter check
                 task.predict(0)
+            parse_ring_expr(task.expr)  # the order cap
         except ExprError:
             raise
         except CapacityError as exc:
             raise CapacityError(f"grid entry {entry!r}: {exc}") from None
         except ValueError as exc:
             raise ValueError(f"grid entry {entry!r}: {exc}") from None
-        try:
-            capped_order(_term_orders(parse_ring_expr(task.expr)), task.expr)
-        except CapacityError as exc:
-            raise CapacityError(f"grid entry {entry!r}: {exc}") from None
         tasks.append(task)
     return tasks
-
-
-def _term_orders(expr: RingExpr) -> Iterator[int]:
-    """Factors of the order of the ring the expression names, each at
-    least 2, lazily, so that a cap check stops at the first partial product
-    above the cap: n for Z_n, p k times for GF(p, k), each factor's for a
-    product, and |R| r + 1 times for Id(R, r)."""
-    if isinstance(expr, Zn):
-        yield expr.n
-    elif isinstance(expr, GF):
-        yield from repeat(expr.p, expr.k)
-    elif isinstance(expr, Product):
-        for factor in expr.factors:
-            yield from _term_orders(factor)
-    else:
-        for _ in range(expr.rank + 1):
-            yield from _term_orders(expr.base)
 
 
 def _pinned(values: dict[int, int], k: int) -> formulas.Prediction:
@@ -448,7 +433,7 @@ def _build_tables(cfg: SuiteConfig) -> list[RingTask]:
 
 def _zpn(pn: tuple[int, int]) -> RingTask:
     p, n = pn
-    capped_order((p,), f"Z{p ** n}")  # p <= p^n, before predict factors p
+    capped_order(repeat(abs(p), n), f"Z{p}^{n}")  # p^n, before it is written
     return RingTask("formula", f"Z{p ** n}", "zpn", f"p={p};n={n}",
                     partial(formulas.predict_prime_power, p, n))
 
@@ -493,9 +478,7 @@ def _local_shape(expr: RingExpr) -> Optional[tuple[int, int, int]]:
 
 
 def _z2local(base_expr: str) -> RingTask:
-    expr = parse_ring_expr(base_expr)
-    capped_order(_term_orders(expr), base_expr)
-    shape = _local_shape(expr)
+    shape = _local_shape(parse_ring_expr(base_expr))
     if shape is None or shape[1] < 2:
         raise ValueError(f"{base_expr} is not a local non-field ring")
     r, z, index = shape
@@ -507,8 +490,6 @@ def _z2local(base_expr: str) -> RingTask:
 
 def _idealization(pn: tuple[int, int]) -> RingTask:
     p, n = pn
-    if p > 1:  # the order p^(n+1), before p is factored or raised
-        capped_order(repeat(p, n + 1), f"Id(Z{p}, {n})")
     if not is_prime(p):  # the formula needs M^2 = 0, so Z_p a field
         raise ValueError(f"{p} is not prime")
     return RingTask("formula", f"Id(Z{p}, {n})", "idealization",

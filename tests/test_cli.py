@@ -138,7 +138,7 @@ def test_verify_grid_parse_error_points_into_grid_entry(capsys):
     (["verify", "tables"], "1",
      "ZDK_ORDER_CAP: expected an integer of at least 2, got '1'"),
     (["verify", "zpn", "--grid", "2,4"], "10",
-     "grid entry '2,4': Z16 exceeds the order cap 10"),
+     "grid entry '2,4': Z2^4 exceeds the order cap 10"),
     (["verify", "zpn", "--grid", "2,4"], "abc",
      "ZDK_ORDER_CAP: expected an integer, got 'abc'"),
     (["verify", "idealizations", "--grid", "4,1"], None,
@@ -187,7 +187,7 @@ def test_verify_grid_parse_error_points_into_grid_entry(capsys):
     # raised to a power
     (["verify", "zpn", "--grid", "1000000000000000003,2"], None,
      "grid entry '1000000000000000003,2': "
-     "Z1000000000000000006000000000000000009 exceeds the order cap 4096"),
+     "1000000000000000003 exceeds the order cap 4096"),
     (["verify", "known_graphs", "--grid", "Z1000000000000000003"], None,
      "grid entry 'Z1000000000000000003': Z1000000000000000003 exceeds the "
      "order cap 4096"),
@@ -198,12 +198,25 @@ def test_verify_grid_parse_error_points_into_grid_entry(capsys):
      "4096"),
     (["verify", "fields", "--grid", "1000000000000000003,1000000000000000009"],
      None, "grid entry '1000000000000000003,1000000000000000009': "
-     "field order 1000000000000000003 exceeds the order cap 4096"),
+     "1000000000000000003 exceeds the order cap 4096"),
     (["verify", "idealizations", "--grid", "1000000000000000003,1"], None,
-     "grid entry '1000000000000000003,1': Id(Z1000000000000000003, 1) "
-     "exceeds the order cap 4096"),
+     "grid entry '1000000000000000003,1': 1000000000000000003 exceeds the "
+     "order cap 4096"),
     (["verify", "z2local", "--grid", "Id(Z4, 100000000000)"], None,
      "grid entry 'Id(Z4, 100000000000)': Id(Z4, 100000000000) exceeds the "
+     "order cap 4096"),
+    (["verify", "zpn", "--grid", "3,100000000"], None,
+     "grid entry '3,100000000': 100000000 exceeds the order cap 4096"),
+    (["verify", "zpn", "--grid", "4096,4096"], None,
+     "grid entry '4096,4096': Z4096^4096 exceeds the order cap 4096"),
+    (["verify", "z2z2F", "--grid", "1000000000000000003"], None,
+     "grid entry '1000000000000000003': 1000000000000000003 exceeds the "
+     "order cap 4096"),
+    (["verify", "z2FK", "--grid", "3,1000000000000000003"], None,
+     "grid entry '3,1000000000000000003': 1000000000000000003 exceeds the "
+     "order cap 4096"),
+    (["verify", "bounds", "--grid", "Z1000000000000000003"], None,
+     "grid entry 'Z1000000000000000003': Z1000000000000000003 exceeds the "
      "order cap 4096"),
 ], ids=["pair-grid-one-value", "pair-grid-three-values", "int-grid",
         "node-budget-not-integer", "time-budget-not-number", "order-cap-env",
@@ -219,7 +232,9 @@ def test_verify_grid_parse_error_points_into_grid_entry(capsys):
         "bounds-grid-field", "zpn-grid-huge-prime", "known-graphs-grid-huge-zn",
         "ring-info-huge-gf", "known-graphs-grid-huge-gf-degree",
         "fields-grid-huge", "idealization-grid-huge-prime",
-        "z2local-grid-huge-rank"])
+        "z2local-grid-huge-rank", "zpn-grid-huge-exponent",
+        "zpn-grid-power-above-the-cap", "z2z2F-grid-huge",
+        "z2FK-grid-huge", "bounds-grid-huge-zn"])
 def test_malformed_run_parameter_names_its_source(
         capsys, monkeypatch, argv, order_cap, message):
     if order_cap is not None:
@@ -284,7 +299,7 @@ def test_non_local_grid_entry_builds_no_ring(capsys, monkeypatch, grid,
 
 
 @pytest.mark.parametrize("suite, grid, ring", [
-    ("z2local", "Z9; Z4096", "Z2 x Z4096"), ("zpn", "3,2; 2,13", "Z8192"),
+    ("z2local", "Z9; Z4096", "Z2 x Z4096"), ("zpn", "3,2; 2,13", "Z2^13"),
     ("idealizations", "2,1; 2,12", "Id(Z2, 12)"),
     ("known_graphs", "Z6; Z2 x Z4096", "Z2 x Z4096")])
 def test_grid_entry_above_the_cap_builds_no_ring(capsys, monkeypatch, suite,

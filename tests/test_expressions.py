@@ -1,10 +1,13 @@
 """Ring expression grammar."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from zdalliance import (GF, CapacityError, ExprError, ExprSemanticError,
-                        ExprSyntaxError, Idealization, Product, Zn,
-                        build_ring, parse_ring_expr)
+from zdalliance import (DEFAULT_ORDER_CAP, GF, CapacityError, ExprError,
+                        ExprSemanticError, ExprSyntaxError, Idealization,
+                        Product, Zn, build_ring, parse_ring_expr)
+from test_solver import RING_FACTORS
 
 
 def test_parse_atoms():
@@ -106,6 +109,51 @@ def test_build_ring_respects_cap(monkeypatch):
     monkeypatch.delenv("ZDK_ORDER_CAP")
     with pytest.raises(CapacityError):
         build_ring("Z5000")
+
+
+# products and idealizations over the factors of the solver's ring
+# expressions; a nested product keeps its parentheses
+CAPPED_EXPRS = st.recursive(
+    RING_FACTORS,
+    lambda inner: st.one_of(
+        st.lists(inner.map(lambda t: f"({t})" if " x " in t else t),
+                 min_size=2, max_size=3).map(" x ".join),
+        st.tuples(inner, st.integers(1, 3))
+          .map(lambda t: f"Id({t[0]}, {t[1]})")),
+    max_leaves=4)
+SMALL_CAPS = (64, 8)
+
+
+def _parse_at(cap, text):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("ZDK_ORDER_CAP", str(cap))
+        return parse_ring_expr(text)
+
+
+@given(CAPPED_EXPRS)
+@settings(max_examples=150, deadline=None)
+def test_parser_cap_matches_the_built_ring(text):
+    # the constructors check the cap on their own: the ring built at the
+    # default cap from the expression, parsed with the cap lifted, says
+    # where the parser's gate must refuse it, at the default cap and at
+    # small ones
+    try:
+        expr = _parse_at(2 ** 40, text)
+    except CapacityError:
+        assume(False)
+    try:
+        order = build_ring(expr).order
+    except CapacityError:
+        order = None  # above the default cap
+    for cap in (DEFAULT_ORDER_CAP, *SMALL_CAPS):
+        if order is not None and order <= cap:
+            assert _parse_at(cap, text) == expr
+            continue
+        with pytest.raises(CapacityError) as refused:
+            _parse_at(cap, text)
+        name, _, rest = str(refused.value).partition(" exceeds the order cap ")
+        assert rest == str(cap)
+        assert name and name in text
 
 
 def test_trailing_input_rejected():

@@ -6,6 +6,9 @@ attribute, and no ``from ... import`` may name one; a module's own
 private functions are called by bare name.  The test references obey the
 same rule, so they cannot borrow the engine code they check.  Only
 ``rings`` reads the environment: it alone decides the ring order cap.
+The cap is checked where input enters: besides ``rings``, only the
+expression parser and ``verify``'s grid-integer reader and ``_zpn`` name
+``capped_order``, so no suite family grows a check of its own.
 In ``solver`` only the class search names ``_ClassTables``, which groups
 the twins, so the oracle stays independent of the class view.  The class
 search sees the graph only through those tables: ``_Search``,
@@ -34,6 +37,8 @@ ORACLE = ("_oracle_pass", "oracle_solve", "oracle_spectrum")
 # the symmetry finder and its helpers, and the tables' name for its output
 FINDER = ("_class_automorphisms", "_refine", "_pin", "_lifts")
 FINDER_ARGUMENTS = ["size", "clique", "nb", "degree"]
+# the top-level definitions outside rings that may name capped_order
+CAP_GATES = {"expressions.py": {"_Parser"}, "verify.py": {"_integer", "_zpn"}}
 
 
 def _is_private(name: str) -> bool:
@@ -119,6 +124,15 @@ def test_reference_reads_no_private_names(path):
 def test_only_rings_reads_the_environment(path):
     reads = _environment_reads(path)
     assert bool(reads) == (path.name == "rings.py"), reads
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "rings.py"],
+                         ids=lambda p: p.name)
+def test_only_the_input_gates_name_the_cap_check(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    named = {getattr(top, "name", f"line {top.lineno}") for top in tree.body
+             if _mentions(top, ("capped_order",))}
+    assert named == CAP_GATES.get(path.name, set())
 
 
 def test_only_the_class_search_names_the_class_tables():
