@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .rings import (FiniteRing, capped_order, is_prime, make_gf,
-                    make_idealization, make_product, make_zn, prime_power)
+                    make_idealization, make_product, make_zn, order_cap,
+                    prime_power)
 
 
 class ExprError(ValueError):
@@ -73,6 +74,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.cap = order_cap()
 
     def error(self, message: str, offset: Optional[int] = None) -> ExprSyntaxError:
         return ExprSyntaxError(message, self.pos if offset is None else offset,
@@ -103,7 +105,7 @@ class _Parser:
     def capped(self, sizes: Iterable[int], start: int) -> int:
         """The order of the term read from ``start``, the product of
         ``sizes``, refused by its text once it passes the order cap."""
-        return capped_order(sizes, self.text[start:self.pos].strip())
+        return capped_order(sizes, self.text[start:self.pos].strip(), self.cap)
 
     def parse_expr(self) -> tuple[RingExpr, int]:
         """The next expression and its order."""
@@ -134,8 +136,8 @@ class _Parser:
                 self.pos += 1
                 second, soff = self.digits()
                 self.expect(")")
-                if first > 1:  # p^k, before p is factored
-                    self.capped((first for _ in range(second)), start)
+                if first > 1:  # p^k, and p whatever k, before p is factored
+                    self.capped((first for _ in range(max(second, 1))), start)
                 if not is_prime(first):
                     raise ExprSemanticError(
                         f"GF characteristic {first} is not prime", foff, self.text)

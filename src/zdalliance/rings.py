@@ -79,9 +79,10 @@ def order_cap() -> int:
     return cap
 
 
-def capped_order(sizes: Iterable[int], what: str) -> int:
-    """The product of ``sizes`` (each >= 0), raising once it passes the cap."""
-    cap = order_cap()
+def capped_order(sizes: Iterable[int], what: str, cap: int = 0) -> int:
+    """The product of ``sizes`` (each >= 0), raising once it passes ``cap``
+    (when 0, :func:`order_cap`)."""
+    cap = cap or order_cap()
     order = 1
     for size in sizes:
         order *= size

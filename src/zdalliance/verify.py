@@ -353,22 +353,23 @@ def _run_task(cfg: SuiteConfig, task: RingTask) -> list[VerificationRecord]:
 
 def _pair(entry: str) -> tuple[int, int]:
     try:
-        a, b = map(_integer, entry.split(","))
-    except CapacityError:
-        raise
+        a, b = (int(v) for v in entry.split(","))
     except ValueError:
         raise ValueError("expected two integers 'a,b'") from None
-    return a, b
+    return _within_cap(a), _within_cap(b)
 
 
 def _integer(entry: str) -> int:
-    """The entry's integer, refused when its absolute value is above the
-    order cap: no valid entry holds a number larger than its ring's
-    order, so none above the cap is factored or raised to a power."""
     try:
         value = int(entry)
     except ValueError:
         raise ValueError("expected an integer") from None
+    return _within_cap(value)
+
+
+def _within_cap(value: int) -> int:
+    """A grid integer, refused above the order cap in absolute value: no
+    valid entry holds a number larger than its ring's order."""
     capped_order((abs(value),), str(value))
     return value
 
@@ -387,13 +388,10 @@ def _ring_text(entry: str) -> str:
 def _grid_tasks(default: Sequence, parse: Callable, make: Callable,
                 cfg: SuiteConfig) -> list[RingTask]:
     """``make`` of the ``default`` values, or of ``parse`` of each entry of
-    ``cfg.grid``, each checked by its formula and, by parsing its ring's
-    expression, against the order cap before any ring is built.  The cap
-    is met where an entry's input enters: ``_integer`` refuses a grid
-    integer above it, and the parser a ring expression.  A ValueError or
-    CapacityError names its entry; an expression error points into it,
-    and an invalid cap setting reports as it does for any ring, before
-    the first entry."""
+    ``cfg.grid``, each checked by its formula and, by parsing its
+    expression, against the order cap before any ring is built.  A
+    ValueError or CapacityError names its entry; an expression error points
+    into it, and an invalid cap setting reports before the first entry."""
     if cfg.grid is None:
         return [make(value) for value in default]
     entries = [s.strip() for s in cfg.grid.split(";") if s.strip()]

@@ -125,6 +125,8 @@ def test_verify_grid_parse_error_points_into_grid_entry(capsys):
      "grid entry '2': expected two integers 'a,b'"),
     (["verify", "zpn", "--grid", "2,3,4"], None,
      "grid entry '2,3,4': expected two integers 'a,b'"),
+    (["verify", "zpn", "--grid", "2,3,99999"], None,
+     "grid entry '2,3,99999': expected two integers 'a,b'"),
     (["verify", "z2z2F", "--grid", "x"], None,
      "grid entry 'x': expected an integer"),
     (["verify", "tables", "--node-budget", "lots"], None,
@@ -193,6 +195,8 @@ def test_verify_grid_parse_error_points_into_grid_entry(capsys):
      "order cap 4096"),
     (["ring-info", "GF(1000000000000000003, 2)"], None,
      "GF(1000000000000000003, 2) exceeds the order cap 4096"),
+    (["ring-info", "GF(1000000000000000003, 0)"], None,
+     "GF(1000000000000000003, 0) exceeds the order cap 4096"),
     (["verify", "known_graphs", "--grid", "GF(2,100000000)"], None,
      "grid entry 'GF(2,100000000)': GF(2,100000000) exceeds the order cap "
      "4096"),
@@ -218,7 +222,8 @@ def test_verify_grid_parse_error_points_into_grid_entry(capsys):
     (["verify", "bounds", "--grid", "Z1000000000000000003"], None,
      "grid entry 'Z1000000000000000003': Z1000000000000000003 exceeds the "
      "order cap 4096"),
-], ids=["pair-grid-one-value", "pair-grid-three-values", "int-grid",
+], ids=["pair-grid-one-value", "pair-grid-three-values",
+        "pair-grid-three-values-above-the-cap", "int-grid",
         "node-budget-not-integer", "time-budget-not-number", "order-cap-env",
         "order-cap-env-negative", "order-cap-env-one", "order-cap-verify",
         "order-cap-env-grid",
@@ -230,7 +235,8 @@ def test_verify_grid_parse_error_points_into_grid_entry(capsys):
         "z2local-grid-not-local", "grid-no-entries", "grid-empty",
         "tables-grid", "format-without-out", "known-graphs-grid-field",
         "bounds-grid-field", "zpn-grid-huge-prime", "known-graphs-grid-huge-zn",
-        "ring-info-huge-gf", "known-graphs-grid-huge-gf-degree",
+        "ring-info-huge-gf", "ring-info-huge-gf-degree-zero",
+        "known-graphs-grid-huge-gf-degree",
         "fields-grid-huge", "idealization-grid-huge-prime",
         "z2local-grid-huge-rank", "zpn-grid-huge-exponent",
         "zpn-grid-power-above-the-cap", "z2z2F-grid-huge",

@@ -38,7 +38,8 @@ ORACLE = ("_oracle_pass", "oracle_solve", "oracle_spectrum")
 FINDER = ("_class_automorphisms", "_refine", "_pin", "_lifts")
 FINDER_ARGUMENTS = ["size", "clique", "nb", "degree"]
 # the top-level definitions outside rings that may name capped_order
-CAP_GATES = {"expressions.py": {"_Parser"}, "verify.py": {"_integer", "_zpn"}}
+CAP_GATES = {"expressions.py": {"_Parser"},
+             "verify.py": {"_within_cap", "_zpn"}}
 
 
 def _is_private(name: str) -> bool:
