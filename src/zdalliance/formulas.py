@@ -2,7 +2,7 @@
 
 Each ``predict_*`` function is pure arithmetic over ring/graph parameters
 and never consults the solver; the verification layer compares the two.
-Predictions come in four kinds:
+A prediction holds only its kind and its numbers.  The kinds:
 
 * ``exact``        -- the alliance number equals ``value``;
 * ``bounds``       -- the alliance number lies in ``[lower, upper]``;
@@ -39,7 +39,6 @@ class Prediction:
     value: Optional[int] = None
     lower: Optional[int] = None
     upper: Optional[int] = None
-    source: str = ""
 
     def __post_init__(self):
         if self.kind == "exact":
@@ -53,20 +52,20 @@ class Prediction:
             raise ValueError(f"unknown prediction kind {self.kind!r}")
 
 
-def exact(value: int, source: str) -> Prediction:
-    return Prediction("exact", value=value, source=source)
+def exact(value: int) -> Prediction:
+    return Prediction("exact", value=value)
 
 
-def bounds(lower: int, upper: int, source: str) -> Prediction:
-    return Prediction("bounds", lower=lower, upper=upper, source=source)
+def bounds(lower: int, upper: int) -> Prediction:
+    return Prediction("bounds", lower=lower, upper=upper)
 
 
-def infeasible(source: str) -> Prediction:
-    return Prediction("infeasible", source=source)
+def infeasible() -> Prediction:
+    return Prediction("infeasible")
 
 
-def out_of_range(source: str) -> Prediction:
-    return Prediction("out_of_range", source=source)
+def out_of_range() -> Prediction:
+    return Prediction("out_of_range")
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +77,8 @@ def predict_complete(n: int, k: int) -> Prediction:
     if n < 1:
         raise ValueError(f"complete graph needs n >= 1, got {n}")
     if 1 - n <= k <= n - 1:
-        return exact(_ceil_div(n + k + 1, 2), "complete")
-    return out_of_range("complete")
+        return exact(_ceil_div(n + k + 1, 2))
+    return out_of_range()
 
 
 def predict_local_index2(m: int, k: int) -> Prediction:
@@ -88,15 +87,15 @@ def predict_local_index2(m: int, k: int) -> Prediction:
     if m < 2:
         raise ValueError(f"|M| must be >= 2, got {m}")
     if 2 - m <= k <= m - 2:
-        return exact(_ceil_div(m + k, 2), "local_index2")
-    return out_of_range("local_index2")
+        return exact(_ceil_div(m + k, 2))
+    return out_of_range()
 
 
 def predict_prime_power(p: int, n: int, k: int) -> Prediction:
     """Z_{p^n}, n >= 2: ceil((p^(n-1)+k)/2).
 
-    For n = 2 the graph is the complete graph K_{p-1}, so the request is
-    routed through the index-2 formula with the narrower range [2-p, p-2]
+    For n = 2 the graph is the complete graph K_{p-1}, so
+    ``predict_local_index2`` answers, with the narrower range [2-p, p-2]
     (the wide range would overclaim at k = p-1 there).  For n >= 3 the
     stated range is [2-p^(n-1), p-1].
     """
@@ -105,14 +104,11 @@ def predict_prime_power(p: int, n: int, k: int) -> Prediction:
     if n < 2:
         raise ValueError(f"prime-power family needs exponent >= 2, got {n}")
     if n == 2:
-        inner = predict_local_index2(p, k)
-        if inner.kind == "exact":
-            return exact(inner.value, "zpn")
-        return out_of_range("zpn")
+        return predict_local_index2(p, k)
     m = p ** (n - 1)
     if 2 - m <= k <= p - 1:
-        return exact(_ceil_div(m + k, 2), "zpn")
-    return out_of_range("zpn")
+        return exact(_ceil_div(m + k, 2))
+    return out_of_range()
 
 
 def predict_two_fields(f: int, q: int, k: int) -> Prediction:
@@ -121,15 +117,15 @@ def predict_two_fields(f: int, q: int, k: int) -> Prediction:
         raise ValueError(f"need 2 <= |F| <= |K|, got {f}, {q}")
     if f == 2:
         if 1 - q <= k <= 1:
-            return exact(_ceil_div(q + k + 1, 2), "two_fields")
-        return out_of_range("two_fields")
+            return exact(_ceil_div(q + k + 1, 2))
+        return out_of_range()
     if k == 1 - q:
-        return exact(2, "two_fields")
+        return exact(2)
     if 2 - q <= k <= 3 - f:
-        return exact(_ceil_div(q + k + 1, 2), "two_fields")
+        return exact(_ceil_div(q + k + 1, 2))
     if 4 - f <= k <= f - 1:
-        return exact((f + k) // 2 + (q + k) // 2, "two_fields")
-    return out_of_range("two_fields")
+        return exact((f + k) // 2 + (q + k) // 2)
+    return out_of_range()
 
 
 def predict_z2z2_field(f: int, k: int) -> Prediction:
@@ -137,10 +133,10 @@ def predict_z2z2_field(f: int, k: int) -> Prediction:
     if f < 2:
         raise ValueError(f"|F| must be >= 2, got {f}")
     if 1 - 2 * f <= k <= 3 - 2 * f:
-        return exact(3, "z2z2F")
+        return exact(3)
     if 4 - 2 * f <= k <= 1:
-        return exact(f + _ceil_div(1 + k, 2), "z2z2F")
-    return out_of_range("z2z2F")
+        return exact(f + _ceil_div(1 + k, 2))
+    return out_of_range()
 
 
 def predict_z2_two_fields(f: int, q: int, k: int) -> Prediction:
@@ -149,10 +145,10 @@ def predict_z2_two_fields(f: int, q: int, k: int) -> Prediction:
         raise ValueError(f"need 3 <= |F| <= |K|, got {f}, {q}")
     fq = f * q
     if 1 - fq <= k <= 5 - fq:
-        return exact(3, "z2FK")
+        return exact(3)
     if 6 - fq <= k <= 1:
-        return exact(_ceil_div(fq + k + 1, 2), "z2FK")
-    return out_of_range("z2FK")
+        return exact(_ceil_div(fq + k + 1, 2))
+    return out_of_range()
 
 
 _Z2_LOCAL_SMALL = {
@@ -179,24 +175,23 @@ def predict_z2_local(r_order: int, z_order: int, m_index2: bool,
             raise ValueError(f"|Z(R)|={z} forces |R|={expected_r}, got {r}")
         table = _Z2_LOCAL_SMALL[z]
         if k in table:
-            return exact(table[k], "z2_local")
-        return out_of_range("z2_local")
+            return exact(table[k])
+        return out_of_range()
     if 1 - r <= k <= 3 - r:
-        return exact(2, "z2_local")
+        return exact(2)
     if 4 - r <= k <= 4 - 2 * z:
-        return exact(_ceil_div(r + k + 1, 2), "z2_local")
+        return exact(_ceil_div(r + k + 1, 2))
     if k == -1:
-        return exact(_ceil_div(r, 2), "z2_local")
+        return exact(_ceil_div(r, 2))
     if k == 0:
-        return exact(_ceil_div(r + 1, 2), "z2_local")
+        return exact(_ceil_div(r + 1, 2))
     if k == 1:
-        return exact(_ceil_div(r, 2) + 2, "z2_local")
+        return exact(_ceil_div(r, 2) + 2)
     if m_index2 and z >= 4 and 5 - 2 * z <= k <= -2:
-        return exact(_ceil_div(r + k + 1, 2), "z2_local_index2")
+        return exact(_ceil_div(r + k + 1, 2))
     if 1 - r <= k <= 1:
-        return bounds(_ceil_div(r + k + 1, 2), _ceil_div(r + 2 * z + k - 1, 2),
-                      "z2_local")
-    return out_of_range("z2_local")
+        return bounds(_ceil_div(r + k + 1, 2), _ceil_div(r + 2 * z + k - 1, 2))
+    return out_of_range()
 
 
 def predict_star_bipartite(r: int, s: int, kind: str) -> Prediction:
@@ -209,10 +204,10 @@ def predict_star_bipartite(r: int, s: int, kind: str) -> Prediction:
         raise ValueError(f"parts must be >= 1, got {r}, {s}")
     if kind == "alliance":
         if min(r, s) == 1:
-            return exact(max(r, s) // 2 + 1, "star")
-        return exact(r // 2 + s // 2, "bipartite")
+            return exact(max(r, s) // 2 + 1)
+        return exact(r // 2 + s // 2)
     if kind == "strong":
-        return exact((r + 1) // 2 + (s + 1) // 2, "bipartite")
+        return exact((r + 1) // 2 + (s + 1) // 2)
     raise ValueError(f"kind must be 'alliance' or 'strong', got {kind!r}")
 
 

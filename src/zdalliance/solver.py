@@ -78,8 +78,7 @@ an undominated class with no cover     never
 r_x > b                                r_x
 forced picks cost > b                  the cost
 greedy cover bound short               the least budget whose greedy sum
-                                       reaches the uncovered count; never
-                                       when no budget does
+                                       reaches the uncovered count
 disjoint demands total > b             the full total of the scan
 expanded with n_i > b                  b + 1 (children c > b were not
                                        made)
@@ -687,9 +686,10 @@ class _Search:
                     reach += gain
                     if reach >= left:
                         return picks
-                if reach + extra >= left:
-                    return len(covs) + left - reach
-                return _NEVER
+                # reach + extra >= left: an undominated class u has an
+                # option, so u lies in the rep_closed of an undecided
+                # neighbour or of u, bar an independent u's n_u - 1 in extra
+                return len(covs) + left - reach
 
         if len(demands) > 1:
             demands.sort(reverse=True)

@@ -149,11 +149,12 @@ def field_expr(q: int) -> str:
 
 @dataclass(frozen=True)
 class RingTask:
-    """One ring of a suite; ``check`` is formula, oracle, bounds or pinned.
+    """One ring of a suite and ``check``, the function that checks it:
+    _check_formula, _check_oracle, _check_bounds or _check_pinned.
 
     ``predict`` gives a formula task's prediction at each k and so states
     its k range; the other checks take their k range from the graph."""
-    check: str
+    check: Callable[..., list[VerificationRecord]]
     expr: str
     family: str
     params: str = ""
@@ -227,8 +228,8 @@ def _check_oracle(cfg: SuiteConfig, task: RingTask, ring: FiniteRing,
             vertices=graph.vertex_count, k=0, predicted_kind="exact",
             predicted_lo=None, predicted_hi=None, solved=None, status=SKIPPED,
             reason=f"oracle-cap({graph.vertex_count})")]
-    cells = {k: formulas.exact(ref.size, "oracle") if ref.feasible
-             else formulas.infeasible("oracle")
+    cells = {k: formulas.exact(ref.size) if ref.feasible
+             else formulas.infeasible()
              for k, ref in refs.items()}
     return _alliance_rows(cfg, task, ring, graph, cells)
 
@@ -333,18 +334,10 @@ def _check_pinned(cfg: SuiteConfig, task: RingTask, ring: FiniteRing,
                        -1, refined)]
 
 
-_CHECKS: dict[str, Callable[..., list[VerificationRecord]]] = {
-    "formula": _check_formula,
-    "oracle": _check_oracle,
-    "bounds": _check_bounds,
-    "pinned": _check_pinned,
-}
-
-
 def _run_task(cfg: SuiteConfig, task: RingTask) -> list[VerificationRecord]:
     """Build the task's ring and graph once and run its check on them."""
     ring = build_ring(task.expr)
-    return _CHECKS[task.check](cfg, task, ring, build_graph(ring))
+    return task.check(cfg, task, ring, build_graph(ring))
 
 
 # ---------------------------------------------------------------------------
@@ -417,14 +410,14 @@ def _grid_tasks(default: Sequence, parse: Callable, make: Callable,
 
 def _pinned(values: dict[int, int], k: int) -> formulas.Prediction:
     if k in values:
-        return formulas.exact(values[k], "pinned")
-    return formulas.out_of_range("pinned")
+        return formulas.exact(values[k])
+    return formulas.out_of_range()
 
 
 def _build_tables(cfg: SuiteConfig) -> list[RingTask]:
     if cfg.grid is not None:
         raise ValueError("suite 'tables' takes no grid")
-    return [RingTask("formula", expr, "tables", "pinned-spectrum",
+    return [RingTask(_check_formula, expr, "tables", "pinned-spectrum",
                      partial(_pinned, values))
             for expr, values in PINNED_SPECTRA.items()]
 
@@ -432,25 +425,26 @@ def _build_tables(cfg: SuiteConfig) -> list[RingTask]:
 def _zpn(pn: tuple[int, int]) -> RingTask:
     p, n = pn
     capped_order(repeat(abs(p), n), f"Z{p}^{n}")  # p^n, before it is written
-    return RingTask("formula", f"Z{p ** n}", "zpn", f"p={p};n={n}",
+    formulas.predict_prime_power(p, n, 0)  # the family check, before p^n
+    return RingTask(_check_formula, f"Z{p ** n}", "zpn", f"p={p};n={n}",
                     partial(formulas.predict_prime_power, p, n))
 
 
 def _two_fields(fq: tuple[int, int]) -> RingTask:
     f, q = fq
-    return RingTask("formula", f"{field_expr(f)} x {field_expr(q)}",
+    return RingTask(_check_formula, f"{field_expr(f)} x {field_expr(q)}",
                     "two_fields", f"f={f};q={q}",
                     partial(formulas.predict_two_fields, f, q))
 
 
 def _z2z2F(f: int) -> RingTask:
-    return RingTask("formula", f"Z2 x Z2 x {field_expr(f)}", "z2z2F",
+    return RingTask(_check_formula, f"Z2 x Z2 x {field_expr(f)}", "z2z2F",
                     f"f={f}", partial(formulas.predict_z2z2_field, f))
 
 
 def _z2FK(fq: tuple[int, int]) -> RingTask:
     f, q = fq
-    return RingTask("formula", f"Z2 x {field_expr(f)} x {field_expr(q)}",
+    return RingTask(_check_formula, f"Z2 x {field_expr(f)} x {field_expr(q)}",
                     "z2FK", f"f={f};q={q}",
                     partial(formulas.predict_z2_two_fields, f, q))
 
@@ -481,7 +475,7 @@ def _z2local(base_expr: str) -> RingTask:
         raise ValueError(f"{base_expr} is not a local non-field ring")
     r, z, index = shape
     index2 = index == 2
-    return RingTask("formula", f"Z2 x {base_expr}", "z2_local",
+    return RingTask(_check_formula, f"Z2 x {base_expr}", "z2_local",
                     f"R={base_expr};r={r};z={z};index2={int(index2)}",
                     partial(formulas.predict_z2_local, r, z, index2))
 
@@ -490,16 +484,18 @@ def _idealization(pn: tuple[int, int]) -> RingTask:
     p, n = pn
     if not is_prime(p):  # the formula needs M^2 = 0, so Z_p a field
         raise ValueError(f"{p} is not prime")
-    return RingTask("formula", f"Id(Z{p}, {n})", "idealization",
+    if n < 1:  # before p^n is formed
+        raise ValueError(f"idealization rank must be >= 1, got {n}")
+    return RingTask(_check_formula, f"Id(Z{p}, {n})", "idealization",
                     f"p={p};n={n}",
                     partial(formulas.predict_local_index2, p ** n))
 
 
 def _build_bounds(cfg: SuiteConfig) -> list[RingTask]:
     tasks = _grid_tasks(BOUNDS_RINGS, _ring_text,
-                        partial(RingTask, "bounds", family="bounds"), cfg)
+                        partial(RingTask, _check_bounds, family="bounds"), cfg)
     if cfg.grid is None:
-        tasks.append(RingTask("pinned", "Z2 x Z4", "bounds"))
+        tasks.append(RingTask(_check_pinned, "Z2 x Z4", "bounds"))
     return tasks
 
 
@@ -514,7 +510,8 @@ SUITES: dict[str, Callable[[SuiteConfig], list[RingTask]]] = {
                              _idealization),
     "bounds": _build_bounds,
     "known_graphs": partial(_grid_tasks, KNOWN_GRAPH_CORPUS, _ring_text,
-                            partial(RingTask, "oracle", family="known_graphs",
+                            partial(RingTask, _check_oracle,
+                                    family="known_graphs",
                                     params="solve-vs-oracle")),
 }
 

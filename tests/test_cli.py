@@ -1,5 +1,6 @@
 """Command line behavior: output shapes and exit codes."""
 
+import dataclasses
 import json
 import os
 import shlex
@@ -104,6 +105,30 @@ def test_solve_budget_exhausted(capsys):
     assert code == 3
     assert "UNKNOWN" in out
     assert "budget" in err
+
+
+def test_solve_budget_exhausted_json(capsys):
+    code, out, err = run(capsys, "solve", "Z2 x Z27", "-k", "1",
+                         "--budget", "5", "--json")
+    assert code == 3
+    assert json.loads(out) == {"ring": "Z2 x Z27", "k": 1,
+                               "status": "UNKNOWN",
+                               "reason": "node budget 5 exhausted"}
+    assert err == ""
+
+
+def test_solve_oracle_disagreement_exits_2(capsys, monkeypatch):
+    import zdalliance.cli as C
+    from zdalliance import oracle_solve
+
+    def one_more(problem):
+        ref = oracle_solve(problem)
+        return dataclasses.replace(ref, size=ref.size + 1)
+
+    monkeypatch.setattr(C, "oracle_solve", one_more)
+    code, out, _ = run(capsys, "solve", "Z12", "-k", "0", "--oracle")
+    assert code == 2
+    assert out.splitlines()[-1].startswith("oracle: DISAGREES (")
 
 
 def test_parse_error_exit_1_with_caret(capsys):
@@ -222,6 +247,15 @@ def test_verify_grid_parse_error_points_into_grid_entry(capsys):
     (["verify", "bounds", "--grid", "Z1000000000000000003"], None,
      "grid entry 'Z1000000000000000003': Z1000000000000000003 exceeds the "
      "order cap 4096"),
+    (["ring-info", "Z8190"], "8192",
+     "graph on 6461 vertices exceeds the cap 4096"),
+    # a family's own check runs before p^n is formed
+    (["verify", "zpn", "--grid", "0,-1"], None,
+     "grid entry '0,-1': 0 is not prime"),
+    (["verify", "idealizations", "--grid", "2,-1"], None,
+     "grid entry '2,-1': idealization rank must be >= 1, got -1"),
+    (["verify", "idealizations", "--grid", "2,0"], None,
+     "grid entry '2,0': idealization rank must be >= 1, got 0"),
 ], ids=["pair-grid-one-value", "pair-grid-three-values",
         "pair-grid-three-values-above-the-cap", "int-grid",
         "node-budget-not-integer", "time-budget-not-number", "order-cap-env",
@@ -240,7 +274,9 @@ def test_verify_grid_parse_error_points_into_grid_entry(capsys):
         "fields-grid-huge", "idealization-grid-huge-prime",
         "z2local-grid-huge-rank", "zpn-grid-huge-exponent",
         "zpn-grid-power-above-the-cap", "z2z2F-grid-huge",
-        "z2FK-grid-huge", "bounds-grid-huge-zn"])
+        "z2FK-grid-huge", "bounds-grid-huge-zn",
+        "ring-info-graph-above-the-vertex-cap", "zpn-grid-zero-negative",
+        "idealization-grid-negative-rank", "idealization-grid-rank-zero"])
 def test_malformed_run_parameter_names_its_source(
         capsys, monkeypatch, argv, order_cap, message):
     if order_cap is not None:
@@ -477,14 +513,26 @@ def test_verify_json_then_report(capsys, tmp_path):
     assert "## Z8" in out
 
 
+def test_report_reads_the_verify_json_object(capsys, tmp_path):
+    # report --in takes what verify --json prints, not only a bare list
+    code, out, _ = run(capsys, "verify", "tables", "--json")
+    assert code == 0
+    records_file = tmp_path / "verify.json"
+    records_file.write_text(out)
+    code, report, _ = run(capsys, "report", "--in", str(records_file),
+                          "--format", "json")
+    assert code == 0
+    assert json.loads(report) == json.loads(out)["records"]
+
+
 def test_verify_mismatch_exits_2(capsys, monkeypatch):
     # a wrong pinned prediction must surface as exit code 2
     import zdalliance.verify as V
 
     def bad_suite(cfg):
-        return [V.RingTask("formula", "Z8", "tables", "bad",
-                           lambda k: formulas.exact(99, "pinned") if k == 0
-                           else formulas.out_of_range("pinned"))]
+        return [V.RingTask(V._check_formula, "Z8", "tables", "bad",
+                           lambda k: formulas.exact(99) if k == 0
+                           else formulas.out_of_range())]
 
     monkeypatch.setitem(V.SUITES, "tables", bad_suite)
     code, out, _ = run(capsys, "verify", "tables")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from zdalliance import (DEFAULT_ORDER_CAP, GF, CapacityError, ExprError,
                         ExprSemanticError, ExprSyntaxError, Idealization,
                         Product, Zn, build_ring, parse_ring_expr)
-from test_solver import RING_FACTORS
+from strategies import RING_FACTORS
 
 
 def test_parse_atoms():

@@ -10,7 +10,7 @@ from zdalliance.solver import _ClassTables
 from zdalliance.verify import KNOWN_GRAPH_CORPUS
 
 from graph_reference import pair_scan_graph
-from test_rings import AXIOM_CORPUS, _counting_mul, ring_exprs
+from strategies import AXIOM_CORPUS, counting_mul, ring_exprs
 
 
 def G(expr):
@@ -269,7 +269,7 @@ def test_graph_matches_pair_scan_property(expr):
 
 @pytest.mark.parametrize("expr", AXIOM_CORPUS + ["Z4096"])
 def test_build_graph_multiplies_nothing(expr):
-    counted, calls = _counting_mul(build_ring(expr))
+    counted, calls = counting_mul(build_ring(expr))
     for x in range(counted.order):
         annihilator(counted, x)
     if zero_divisors(counted) == {0}:

@@ -16,7 +16,8 @@ search sees the graph only through those tables: ``_Search``,
 attribute.  The symmetry finder works on class-table data alone, and
 only ``_ClassTables`` calls it; the oracle and the vertex-search
 reference never name it or the symmetries, so the cross-checks stay
-independent of the rule they check.
+independent of the rule they check.  No test module imports another:
+shared strategies and helpers live in ``tests/strategies.py``.
 """
 
 import ast
@@ -28,6 +29,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "zdalliance"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 TESTS = Path(__file__).resolve().parent
 ENVIRONMENT_NAMES = ("environ", "getenv")
+TEST_MODULES = sorted(TESTS.glob("test_*.py"))
 REFERENCES = sorted([TESTS / "vertex_search.py", TESTS / "ring_axioms.py",
                      *TESTS.glob("*_reference.py")])
 CLASS_SEARCH = ("_Search", "_solve_with_gamma", "_alliance_lower_bound")
@@ -61,6 +63,16 @@ def _foreign_private_reads(path: Path) -> list[str]:
             continue
         found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     return found
+
+
+def _test_module_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    modules = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    return [name for name in modules
+            if name.split(".")[-1].startswith("test_")]
 
 
 def _environment_reads(path: Path) -> list[str]:
@@ -109,6 +121,7 @@ def test_package_sources_found():
     assert {p.name for p in REFERENCES} >= {
         "vertex_search.py", "ring_axioms.py", "oracle_reference.py",
         "graph_reference.py", "local_reference.py"}
+    assert {p.name for p in TEST_MODULES} >= {"test_rings.py", "test_solver.py"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -119,6 +132,11 @@ def test_no_foreign_private_reads(path):
 @pytest.mark.parametrize("path", REFERENCES, ids=lambda p: p.name)
 def test_reference_reads_no_private_names(path):
     assert _foreign_private_reads(path) == []
+
+
+@pytest.mark.parametrize("path", TEST_MODULES, ids=lambda p: p.name)
+def test_no_test_module_imports_another(path):
+    assert _test_module_imports(path) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

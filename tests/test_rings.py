@@ -14,12 +14,7 @@ from zdalliance import (CapacityError, DEFAULT_ORDER_CAP, annihilator,
 
 from local_reference import span_local_structure
 from ring_axioms import verify_ring_axioms
-
-AXIOM_CORPUS = ["Z2", "Z12", "Z16", "GF(4)", "GF(8)", "GF(9)", "GF(25)",
-                "Z2 x Z4", "Z3 x GF(4)", "Z2 x Z2 x Z3", "Id(Z2, 1)",
-                "Id(Z3, 1)", "Id(Z2, 2)", "Id(Z5, 1)", "Id(GF(4), 1)",
-                "Z2 x Id(Z3, 1)", "Z243", "Id(Z2 x Z2, 1)", "Id(Z2 x Z3, 1)"]
-
+from strategies import AXIOM_CORPUS, MAX_ORDER, counting_mul, ring_exprs
 
 def _brute_units(ring):
     # the definition, by brute force: x is a unit iff xy = 1 for some y
@@ -323,46 +318,6 @@ def test_zn_arithmetic_properties(n, data):
     assert r.add(a, r.neg(a)) == 0
 
 
-_MAX_ORDER = 128
-# (text, order) of every Zn and GF(q) term of order at most 64
-_ATOMS = tuple([(f"Z{n}", n) for n in range(2, 65)]
-               + [(f"GF({p ** k})", p ** k) for p in range(2, 65) if is_prime(p)
-                  for k in range(1, 7) if p ** k <= 64])
-
-
-def _atom_expr(draw, budget):
-    return draw(st.sampled_from([a for a in _ATOMS if a[1] <= budget]))
-
-
-def _product_expr(draw, budget):
-    """2-3 atoms whose orders multiply to at most ``budget`` (>= 4)."""
-    first, order = _atom_expr(draw, budget // 2)
-    texts = [first]
-    while len(texts) < 3 and budget // order >= 2 and (
-            len(texts) < 2 or draw(st.booleans())):
-        text, size = _atom_expr(draw, budget // order)
-        texts.append(text)
-        order *= size
-    return " x ".join(texts)
-
-
-@st.composite
-def ring_exprs(draw):
-    """Zn, GF(q), products of 2-3 of those, and Id(base, 1-2) over any of them."""
-    kind = draw(st.sampled_from(["atom", "product", "id"]))
-    if kind == "atom":
-        return _atom_expr(draw, _MAX_ORDER)[0]
-    if kind == "product":
-        return _product_expr(draw, _MAX_ORDER)
-    rank = draw(st.integers(1, 2))
-    room = max(b for b in range(2, _MAX_ORDER) if b ** (rank + 1) <= _MAX_ORDER)
-    if room >= 4 and draw(st.booleans()):
-        base = _product_expr(draw, room)
-    else:
-        base = _atom_expr(draw, room)[0]
-    return f"Id({base}, {rank})"
-
-
 def _assert_ann_is_definition(ring):
     for x in range(ring.order):
         listed = list(ring.ann(x))
@@ -390,7 +345,7 @@ def test_ann_matches_definition_property(expr):
 def test_dichotomy_property(expr):
     # every construction's own is_unit agrees with the definitions
     r = build_ring(expr)
-    assert r.order <= _MAX_ORDER
+    assert r.order <= MAX_ORDER
     zds = zero_divisors(r)
     nonunits = set()
     for x in range(r.order):
@@ -423,25 +378,15 @@ def test_local_structure_matches_span_reference_property(expr):
     _same_local_structure(expr)
 
 
-def _counting_mul(ring):
-    calls = [0]
-
-    def mul(a, b):
-        calls[0] += 1
-        return ring.mul(a, b)
-
-    return dataclasses.replace(ring, mul=mul), calls
-
-
 @pytest.mark.parametrize("expr", AXIOM_CORPUS)
 def test_units_and_zero_divisors_multiply_nothing(expr):
-    counted, calls = _counting_mul(build_ring(expr))
+    counted, calls = counting_mul(build_ring(expr))
     assert len(zero_divisors(counted)) + len(units(counted)) == counted.order
     assert calls[0] == 0
 
 
 @pytest.mark.parametrize("expr", ["Z2 x Z4", "Z6"])
 def test_non_local_ring_multiplies_nothing(expr):
-    counted, calls = _counting_mul(build_ring(expr))
+    counted, calls = counting_mul(build_ring(expr))
     assert local_structure(counted) is None
     assert calls[0] == 0

@@ -15,7 +15,7 @@ from zdalliance import (ORACLE_MAX_VERTICES, AllianceProblem, BudgetExceeded,
                         oracle_spectrum, solve, spectrum, zero_divisors)
 from zdalliance.verify import KNOWN_GRAPH_CORPUS
 from oracle_reference import reference_solve, reference_spectrum
-from test_rings import ring_exprs
+from strategies import RING_EXPRS, ring_exprs
 from vertex_search import vertex_solve, vertex_spectrum
 
 PINNED = {
@@ -230,6 +230,22 @@ def test_time_budget_exhaustion():
         solve(AllianceProblem(g, 1), time_budget=0.0)
 
 
+def test_time_budget_runs_out_inside_a_round(monkeypatch):
+    # the clock passes the deadline only where the search polls it every
+    # 1,024 nodes, so each round's own check passes and the budget runs
+    # out inside a round: Z210 at k = 0 takes more than 1,024 nodes
+    callers = []
+
+    def monotonic():
+        callers.append(sys._getframe(1).f_code.co_name)
+        return 1.0 if callers[-1] == "_tick" else 0.0
+
+    monkeypatch.setattr(solver.time, "monotonic", monotonic)
+    with pytest.raises(BudgetExceeded, match="time budget exhausted"):
+        solve(AllianceProblem(G("Z210"), 0), time_budget=0.5)
+    assert "run" in callers and callers[-1] == "_tick"
+
+
 def test_oracle_vertex_cap():
     g = G("Z81")
     assert g.vertex_count == 26
@@ -370,15 +386,6 @@ def test_spectrum_proves_infeasibility_without_search():
 
 # -- the class search against the vertex search it replaced ----------------
 
-RING_FACTORS = st.one_of(st.integers(2, 16).map(lambda n: f"Z{n}"),
-                         st.sampled_from(("GF(4)", "GF(8)", "GF(9)")))
-RING_EXPRS = st.one_of(
-    st.integers(4, 130).map(lambda n: f"Z{n}"),
-    st.lists(RING_FACTORS, min_size=2, max_size=3).map(" x ".join),
-    st.tuples(st.sampled_from(("Z2", "Z3", "Z4", "Z5", "GF(4)", "Z2 x Z2",
-                               "Z2 x Z3")), st.integers(1, 2))
-      .map(lambda t: f"Id({t[0]}, {t[1]})"),
-)
 REFERENCE_NODE_BUDGET = 5000
 # the rings of the perfbench spectrum workload
 SPECTRUM_RINGS = ("Z64", "Z2 x Z27", "Z2 x Z2 x Z2 x Z2 x Z2", "Z2 x Z4 x Z4",

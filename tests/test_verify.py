@@ -8,14 +8,15 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from zdalliance import (SuiteConfig, build_graph, build_ring,
+from zdalliance import (SuiteConfig, build_graph, build_ring, formulas,
                         local_structure, parse_ring_expr, run_suite, solver,
                         summarize, verify)
 from zdalliance.verify import (CSV_COLUMNS, emit_report, records_from_dicts,
                                records_to_dicts)
-from test_rings import ring_exprs
+from strategies import ring_exprs
 
 
 def _strip_timing(text: str) -> list[list[str]]:
@@ -85,6 +86,33 @@ def test_local_shape_matches_the_built_ring(expr):
         build_ring(expr).order, len(struct.maximal_ideal),
         struct.nilpotency_index)
     assert verify._local_shape(parse_ring_expr(expr)) == want
+
+
+# the suites whose grid entries are integers, with the integers per entry
+NUMERIC_SUITES = {"zpn": 2, "fields": 2, "z2z2F": 1, "z2FK": 2,
+                  "idealizations": 2}
+GRID_INTEGERS = st.one_of(
+    st.sampled_from((0, 1, -1, 2, 3, 5, 7, 11, 13)),
+    st.integers(-20, 20),
+    st.integers(4090, 4100),
+    st.sampled_from((-4097, 10 ** 18 + 3, -(10 ** 18 + 3))))
+
+
+@given(st.sampled_from(sorted(NUMERIC_SUITES)), GRID_INTEGERS, GRID_INTEGERS)
+@example("zpn", 0, -1)
+@example("idealizations", 2, -1)
+@example("idealizations", 2, 0)
+@settings(max_examples=300, deadline=None)
+def test_numeric_grid_entries_give_tasks_or_a_value_error(suite, a, b):
+    # a family's check and the order cap refuse an entry before any of its
+    # numbers is powered or factored, so no entry ends in another error
+    entry = ",".join(map(str, (a, b)[:NUMERIC_SUITES[suite]]))
+    try:
+        tasks = verify.SUITES[suite](SuiteConfig(suite=suite, grid=entry))
+    except ValueError as exc:
+        assert f"grid entry {entry!r}: " in str(exc)
+        return
+    assert [type(task) for task in tasks] == [verify.RingTask]
 
 
 def test_known_graphs_oracle_cap_reported_not_dropped():
@@ -180,6 +208,27 @@ def test_markdown_groups_by_ring():
     for ring in ("Z12", "Z2 x Z4", "Z8", "Z9"):
         assert f"## {ring}" in md
     assert "| k | gamma_k_d | count_bound | predicted | status |" in md
+
+
+def test_markdown_oracle_infeasible_row():
+    # Z8's graph is a path, so no global defensive 2-alliance exists
+    md = emit_report(run_suite(SuiteConfig(suite="known_graphs", grid="Z8")),
+                     "md")
+    assert "| 2 | INFEASIBLE |  | INFEASIBLE | MATCH |" in md.splitlines()
+
+
+def test_bounds_prediction_the_solver_misses_is_a_mismatch(monkeypatch):
+    # gamma_0(Z8) = 2 lies below [3, 4]
+    def missed(cfg):
+        return [verify.RingTask(
+            verify._check_formula, "Z8", "tables", "missed",
+            lambda k: formulas.bounds(3, 4) if k == 0
+            else formulas.out_of_range())]
+
+    monkeypatch.setitem(verify.SUITES, "tables", missed)
+    [rec] = run_suite(SuiteConfig(suite="tables"))
+    assert (rec.k, rec.predicted_kind, rec.predicted_lo, rec.predicted_hi,
+            rec.solved, rec.status) == (0, "bounds", 3, 4, 2, "MISMATCH")
 
 
 def _table_rows(md: str) -> list[list[str]]:
@@ -282,7 +331,7 @@ def test_formula_ranges_lie_within_max_degree():
     configs += [SuiteConfig(suite=suite, grid=grid)
                 for suite, grid in WIDE_GRIDS.items()]
     tasks = [task for cfg in configs for task in verify.SUITES[cfg.suite](cfg)
-             if task.check == "formula"]
+             if task.check is verify._check_formula]
     assert len(tasks) == 71
     for task in tasks:
         deg = build_graph(build_ring(task.expr)).max_degree
